@@ -336,7 +336,7 @@ pub enum AppSpec {
     Builtin(String),
     /// A corpus workload family generated from a seed.
     Workload {
-        /// Family name (see `rdse corpus list`), e.g. `layered-5x4`.
+        /// Family name (see `rdse corpus list`), e.g. `layered`.
         family: String,
         /// Generation seed.
         seed: u64,
@@ -373,7 +373,7 @@ pub enum ArchSpec {
 ///  "chains": 4, "exchange_every": 250}
 /// ```
 ///
-/// `app` alternatives: `{"workload": "layered-5x4", "seed": 3}` or
+/// `app` alternatives: `{"workload": "layered", "seed": 3}` or
 /// `{"inline": {...}}`; `arch` alternatives:
 /// `{"family": "dual-fpga", "seed": 3}` or `{"inline": {...}}`.
 #[derive(Debug, Clone, PartialEq)]
@@ -571,7 +571,7 @@ mod tests {
     fn jobspec_roundtrips_through_value() {
         let spec = JobSpec {
             app: AppSpec::Workload {
-                family: "layered-5x4".into(),
+                family: "layered".into(),
                 seed: 3,
             },
             arch: ArchSpec::Family {

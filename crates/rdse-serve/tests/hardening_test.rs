@@ -163,6 +163,60 @@ fn malformed_json_body_gets_a_typed_error() {
 }
 
 #[test]
+fn frame_with_one_huge_string_is_answered_promptly() {
+    let limits = Limits::default();
+    let handle = spawn_with(limits.clone());
+    // A job exactly at the frame limit, nearly all of it one string
+    // (multi-byte and escaped text included) naming an unknown app.
+    let job = |name: &str| {
+        serde_json::to_string(&Value::Map(vec![
+            (
+                "app".into(),
+                Value::Map(vec![("builtin".into(), Value::Str(name.into()))]),
+            ),
+            (
+                "arch".into(),
+                Value::Map(vec![("clbs".into(), Value::I64(2000))]),
+            ),
+        ]))
+        .unwrap()
+    };
+    let mut name = "m\u{e9}\\\"\u{1F600}".repeat(1 << 16);
+    name.push_str(&"x".repeat(limits.max_frame_len as usize - job(&name).len()));
+    let body = job(&name);
+    assert_eq!(body.len(), limits.max_frame_len as usize);
+
+    let started = std::time::Instant::now();
+    let mut stream = raw_connect(&handle);
+    stream
+        .write_all(&header(FrameType::Job, body.len() as u32))
+        .unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
+
+    // The server keeps answering other connections meanwhile.
+    let mut probe = raw_connect(&handle);
+    probe
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let reply = read_to_string(&mut probe);
+    assert!(reply.starts_with("HTTP/1.1 200"), "reply: {reply}");
+
+    // The job itself gets its typed error well within the socket
+    // timeout: decoding is linear in the frame.
+    let (frame_type, reply) =
+        read_frame(&mut stream, 4 << 20).expect("a reply frame, not a hang/drop");
+    assert_eq!(frame_type, FrameType::Error);
+    assert_eq!(reply.get("code"), Some(&Value::Str("unknown-app".into())));
+    let Some(Value::Str(message)) = reply.get("message") else {
+        panic!("error frame without a message");
+    };
+    assert!(message.contains(&name), "the name arrived intact");
+    assert!(started.elapsed() < Duration::from_secs(10));
+    drop(stream);
+    shut_down(handle);
+}
+
+#[test]
 fn over_limit_jobs_are_rejected_with_specific_codes() {
     let handle = spawn_with(Limits {
         max_iters: 1_000,

@@ -20,9 +20,10 @@
 //! or corrupt tail — short header, bad magic, short body, checksum
 //! mismatch, malformed JSON — ends the replay at the last good record
 //! and is reported as a [`TailIssue`] naming the offset and cause.
+//! Each body is read by [`StoreRecord::from_json`] in one pass.
 
 use crate::record::StoreRecord;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The log's magic bytes ("RDSE Archive").
 pub const MAGIC: [u8; 4] = *b"RDSA";
@@ -144,12 +145,17 @@ pub fn scan(bytes: &[u8], mut on_record: impl FnMut(StoreRecord)) -> ReplayRepor
             break;
         }
         let record = std::str::from_utf8(body)
-            .ok()
-            .and_then(|text| serde_json::from_str::<serde::Value>(text).ok())
-            .and_then(|value| StoreRecord::from_value(&value).ok());
-        let Some(record) = record else {
-            report.tail = Some(stop(pos, "checksummed body is not a valid record".into()));
-            break;
+            .map_err(|e| e.to_string())
+            .and_then(|text| StoreRecord::from_json(text).map_err(|e| e.to_string()));
+        let record = match record {
+            Ok(record) => record,
+            Err(cause) => {
+                report.tail = Some(stop(
+                    pos,
+                    format!("checksummed body is not a valid record: {cause}"),
+                ));
+                break;
+            }
         };
         on_record(record);
         report.records += 1;

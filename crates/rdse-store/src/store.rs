@@ -6,7 +6,7 @@
 //! instead of burying it. [`append`](ResultStore::append) writes one
 //! frame and applies the [`SyncPolicy`]; [`compact`](ResultStore::compact)
 //! rewrites the log keeping only the latest record per key, atomically
-//! (temp file + rename).
+//! and durably (synced temp file, rename, synced directory).
 
 use crate::archive::Archive;
 use crate::log::{encode_record, scan, ReplayReport};
@@ -192,9 +192,10 @@ impl ResultStore {
     }
 
     /// Rewrites the log keeping exactly one (the latest) record per
-    /// key, in ascending key order, via a temp file renamed over the
-    /// original — a crash mid-compaction leaves either the old or the
-    /// new log, never a mix.
+    /// key, in ascending key order, via a synced temp file renamed over
+    /// the original, then syncs the directory — a crash mid-compaction
+    /// leaves either the old or the new log, never a mix, and a
+    /// finished compaction survives power loss.
     ///
     /// # Errors
     ///
@@ -226,6 +227,7 @@ impl ResultStore {
         let bytes_after = out.metadata()?.len();
         drop(out);
         std::fs::rename(&tmp, &path)?;
+        sync_parent_dir(&path)?;
 
         // Reopen the handle on the new inode, positioned at the end.
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
@@ -247,6 +249,19 @@ impl Drop for ResultStore {
             let _ = file.sync_data();
         }
     }
+}
+
+/// Forces the directory entry of `path` to stable storage: a rename is
+/// only durable once its parent directory is synced.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let parent = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    if cfg!(unix) {
+        File::open(parent)?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// Read-only integrity scan of a log file: replays without building an
