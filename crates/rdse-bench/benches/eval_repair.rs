@@ -251,7 +251,7 @@ fn main() {
     run_workload("fig3", &fig3_app, &fig3_arch, 7, steps);
 
     // A graph large enough that a repair cone is a small fraction of a
-    // full pass (same shape as batch_vs_single's large workload).
+    // full pass.
     let layered = layered_dag(
         &LayeredDagConfig {
             layers: 20,

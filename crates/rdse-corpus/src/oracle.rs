@@ -11,8 +11,7 @@
 //!    simulated makespan provably equals the analytic longest path;
 //! 4. the bounded-repair delta path
 //!    ([`Evaluator::evaluate_delta`]) driven along the walk move by
-//!    move, and [`Evaluator::evaluate_batch`] re-scoring the accepted
-//!    walk states as multi-move diffs against the initial mapping.
+//!    move.
 //!
 //! Two invariants ride along: simulating with an exclusive bus can
 //! never beat the contention-free run, and every move proposal's
@@ -48,9 +47,6 @@ pub struct OracleReport {
     /// Walk moves whose bounded-repair delta summary was verified
     /// against the full evaluation (the fourth leg).
     pub repair_checked: u32,
-    /// Accepted walk states re-scored through `evaluate_batch` and
-    /// verified bit-for-bit against their sequential summaries.
-    pub batch_checked: u32,
 }
 
 /// Why the oracle rejected a scenario. The variants name the diverging
@@ -131,16 +127,6 @@ pub enum OracleFailure {
         /// Walk step at which they disagreed.
         step: u32,
     },
-    /// `evaluate_batch` summary differs from the sequential summary of
-    /// the same candidate.
-    BatchVsSequential {
-        /// Batch makespan bits.
-        batch: u64,
-        /// Sequential makespan bits.
-        sequential: u64,
-        /// Candidate index within the batch.
-        index: usize,
-    },
 }
 
 impl std::fmt::Display for OracleFailure {
@@ -205,15 +191,6 @@ impl std::fmt::Display for OracleFailure {
             OracleFailure::RepairFeasibilityDiverged { step } => write!(
                 f,
                 "repair path and full evaluation disagree on feasibility at step {step}"
-            ),
-            OracleFailure::BatchVsSequential {
-                batch,
-                sequential,
-                index,
-            } => write!(
-                f,
-                "evaluate_batch diverged from sequential evaluation on candidate {index}: \
-                 {batch:#x} vs {sequential:#x}"
             ),
         }
     }
@@ -332,10 +309,6 @@ pub fn differential_check(
         .evaluate(mapping)
         .map_err(|e| OracleFailure::Engine(format!("repair-leg synchronization: {e}")))?;
     let mut repair_checked = 0;
-    // Accepted walk states (capped) re-scored through evaluate_batch
-    // as multi-move diffs against the initial mapping.
-    const BATCH_CAP: usize = 8;
-    let mut batch_states: Vec<(Mapping, u64)> = Vec::new();
 
     let mut walk = mapping.clone();
     let mut rng = StdRng::seed_from_u64(walk_seed);
@@ -389,9 +362,6 @@ pub fn differential_check(
                 }
                 check_state(app, arch, &mut evaluator, &walk, step)?;
                 moves_applied += 1;
-                if batch_states.len() < BATCH_CAP {
-                    batch_states.push((walk.clone(), full.makespan.value().to_bits()));
-                }
             }
             Err(_) => {
                 // The repair leg must reject too (its error path
@@ -411,44 +381,12 @@ pub fn differential_check(
         }
     }
 
-    // Batch leg: one evaluate_batch call re-scores the accepted walk
-    // states as arbitrary multi-move diffs against the initial
-    // mapping; every summary must reproduce the sequential result.
-    let mut batch_checked = 0;
-    if !batch_states.is_empty() {
-        let mut batch_eval = Evaluator::new(app, arch);
-        let candidates: Vec<Mapping> = batch_states.iter().map(|(m, _)| m.clone()).collect();
-        let results = batch_eval
-            .evaluate_batch(mapping, &candidates)
-            .map_err(|e| OracleFailure::Engine(format!("batch evaluation: {e}")))?;
-        for (index, (result, (_, expected))) in results.iter().zip(&batch_states).enumerate() {
-            match result {
-                Ok(summary) if summary.makespan.value().to_bits() == *expected => {
-                    batch_checked += 1;
-                }
-                Ok(summary) => {
-                    return Err(OracleFailure::BatchVsSequential {
-                        batch: summary.makespan.value().to_bits(),
-                        sequential: *expected,
-                        index,
-                    });
-                }
-                Err(e) => {
-                    return Err(OracleFailure::Engine(format!(
-                        "batch evaluation of accepted state {index}: {e}"
-                    )));
-                }
-            }
-        }
-    }
-
     Ok(OracleReport {
         makespan,
         contention_makespan,
         moves_checked,
         moves_applied,
         repair_checked,
-        batch_checked,
     })
 }
 

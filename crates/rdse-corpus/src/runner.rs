@@ -111,9 +111,6 @@ pub struct ScenarioRecord {
     /// only; the golden projection predates the fourth leg and stays
     /// byte-stable).
     pub oracle_repair_checked: u32,
-    /// Accepted states re-verified through `evaluate_batch` (NDJSON
-    /// only, like `oracle_repair_checked`).
-    pub oracle_batch_checked: u32,
     /// Annealing steps per second (wall-clock; **not** part of the
     /// golden projection).
     pub steps_per_sec: f64,
@@ -165,11 +162,8 @@ impl ScenarioRecord {
         line.truncate(line.len() - 1); // strip the closing brace
         line.push_str(&format!(
             ",\"steps_per_sec\":{:.0},\"oracle_repair_checked\":{},\
-             \"oracle_batch_checked\":{},\"front_hypervolume\":{:.3}}}",
-            self.steps_per_sec,
-            self.oracle_repair_checked,
-            self.oracle_batch_checked,
-            self.front_hypervolume
+             \"front_hypervolume\":{:.3}}}",
+            self.steps_per_sec, self.oracle_repair_checked, self.front_hypervolume
         ));
         line
     }
@@ -342,7 +336,6 @@ fn run_scenario(
         oracle_moves_checked: oracle.moves_checked,
         oracle_moves_applied: oracle.moves_applied,
         oracle_repair_checked: oracle.repair_checked,
-        oracle_batch_checked: oracle.batch_checked,
         steps_per_sec: if secs > 0.0 {
             iterations as f64 / secs
         } else {
@@ -500,11 +493,9 @@ mod tests {
         assert!(full.starts_with(golden.trim_end_matches('}')));
         assert!(full.contains("\"steps_per_sec\":"));
         assert!(full.contains("\"oracle_repair_checked\":"));
-        assert!(full.contains("\"oracle_batch_checked\":"));
         assert!(full.contains("\"front_hypervolume\":"));
         assert!(!golden.contains("steps_per_sec"));
         assert!(!golden.contains("oracle_repair_checked"));
-        assert!(!golden.contains("oracle_batch_checked"));
         assert!(!golden.contains("front_hypervolume"));
         // Front hypervolume is deterministic (unlike throughput): every
         // member weakly dominates the reference, so volume is positive.
@@ -515,13 +506,8 @@ mod tests {
     fn oracle_fourth_leg_runs_on_the_tiny_corpus() {
         let report = run_corpus(&tiny_specs(), &tiny_opts()).expect("tiny corpus passes");
         for r in &report.records {
-            // Every accepted walk state went through the repair leg,
-            // and the batch leg re-scored a (capped) prefix of them.
+            // Every accepted walk state went through the repair leg.
             assert_eq!(r.oracle_repair_checked, r.oracle_moves_applied);
-            assert_eq!(
-                r.oracle_batch_checked,
-                (r.oracle_moves_applied as usize).min(8) as u32
-            );
         }
     }
 

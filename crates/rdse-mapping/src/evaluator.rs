@@ -32,14 +32,10 @@
 //!   ([`IncrementalLongestPath::full_fallback`]) — still journaled, so
 //!   rejection stays a cheap rollback.
 //!
-//! Batches of sibling candidates amortize the one full synchronization
-//! through [`Evaluator::evaluate_batch`].
-//!
 //! # Determinism contract
 //!
-//! `Evaluator::evaluate`, `evaluate_delta` and `evaluate_batch` return
-//! *bit-identical* makespans and breakdowns to the from-scratch
-//! [`evaluate`]:
+//! `Evaluator::evaluate` and `evaluate_delta` return *bit-identical*
+//! makespans and breakdowns to the from-scratch [`evaluate`]:
 //!
 //! * every completion label is `w(v) + max(0, max over in-edges
 //!   (completion(u) + w(u,v)))` — a max over a finite candidate set,
@@ -105,7 +101,7 @@ fn log_set_u32(log: &mut Vec<(u32, u32)>, arr: &mut [u32], i: u32, v: u32) -> bo
 /// evaluations are allocation-free and to size the repair cones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvaluatorStats {
-    /// Evaluations performed (full, delta and batch-member alike).
+    /// Evaluations performed (full and delta alike).
     pub evaluations: u64,
     /// Evaluations during which at least one scratch arena grew (i.e.
     /// went through the allocator).
@@ -127,17 +123,6 @@ pub struct EvaluatorStats {
     /// Total nodes relabeled across all completed repairs (for the
     /// mean cone size).
     pub cone_nodes: u64,
-    /// Moves drawn and scored down the speculative pipeline (zero
-    /// unless the walk ran with `--speculate` width > 1).
-    pub speculated: u64,
-    /// Speculated scores the walk actually consumed: the confirmed
-    /// rejected prefix of each round plus its terminating accept.
-    pub spec_committed: u64,
-    /// Speculated scores discarded because an earlier entry in the
-    /// round accepted (the price paid for the parallelism).
-    pub spec_wasted: u64,
-    /// Speculative rounds executed.
-    pub spec_rounds: u64,
 }
 
 impl EvaluatorStats {
@@ -153,18 +138,6 @@ impl EvaluatorStats {
             0.0
         } else {
             self.cone_nodes as f64 / self.repairs as f64
-        }
-    }
-
-    /// Mean number of speculated scores consumed per speculative round
-    /// (0.0 if no speculation ran). At width `W` this lives in
-    /// `[1, W]`; the closer to `W`, the better the rejection hypothesis
-    /// paid off.
-    pub fn mean_useful_prefix(&self) -> f64 {
-        if self.spec_rounds == 0 {
-            0.0
-        } else {
-            self.spec_committed as f64 / self.spec_rounds as f64
         }
     }
 }
@@ -355,8 +328,7 @@ impl RepairGraph for Overlay<'_> {
 /// Construct once per search (or per chain), synchronize with a full
 /// [`evaluate`](Evaluator::evaluate), then score single-move neighbours
 /// with [`evaluate_delta`](Evaluator::evaluate_delta) (revertible via
-/// [`revert_delta`](Evaluator::revert_delta)) or whole candidate sets
-/// with [`evaluate_batch`](Evaluator::evaluate_batch). The heavyweight
+/// [`revert_delta`](Evaluator::revert_delta)). The heavyweight
 /// per-task trace is available on demand via
 /// [`evaluate_full`](Evaluator::evaluate_full).
 ///
@@ -433,13 +405,6 @@ pub struct Evaluator<'a> {
     /// `true` once the mirrors reflect some mapping (set by a
     /// successful full evaluation, kept by deltas and reverts).
     synced: bool,
-    /// Per-candidate results of the last [`evaluate_batch`] call.
-    batch_out: Vec<Result<EvalSummary, MappingError>>,
-    /// Scratch for batch diffs: tasks / processors / DRLCs that differ
-    /// between the base and the candidate.
-    diff_tasks: Vec<u32>,
-    diff_procs: Vec<u32>,
-    diff_drlcs: Vec<u32>,
     stats: EvaluatorStats,
 }
 
@@ -475,10 +440,6 @@ pub struct EvaluatorArenas {
     struct_seeds: Vec<u32>,
     eid_scratch: Vec<(u32, u32)>,
     log: DeltaLog,
-    batch_out: Vec<Result<EvalSummary, MappingError>>,
-    diff_tasks: Vec<u32>,
-    diff_procs: Vec<u32>,
-    diff_drlcs: Vec<u32>,
     stats: EvaluatorStats,
 }
 
@@ -569,10 +530,6 @@ impl<'a> Evaluator<'a> {
             log: DeltaLog::default(),
             delta_active: false,
             synced: false,
-            batch_out: Vec::new(),
-            diff_tasks: Vec::new(),
-            diff_procs: Vec::new(),
-            diff_drlcs: Vec::new(),
             stats: EvaluatorStats::default(),
         }
     }
@@ -613,10 +570,6 @@ impl<'a> Evaluator<'a> {
             mut struct_seeds,
             mut eid_scratch,
             mut log,
-            mut batch_out,
-            diff_tasks,
-            diff_procs,
-            diff_drlcs,
             stats,
         } = arenas;
         let bus = arch.bus();
@@ -628,7 +581,6 @@ impl<'a> Evaluator<'a> {
         seeds.clear();
         struct_seeds.clear();
         eid_scratch.clear();
-        batch_out.clear();
         Evaluator {
             app,
             arch,
@@ -652,10 +604,6 @@ impl<'a> Evaluator<'a> {
             log,
             delta_active: false,
             synced: false,
-            batch_out,
-            diff_tasks,
-            diff_procs,
-            diff_drlcs,
             stats,
         }
     }
@@ -689,10 +637,6 @@ impl<'a> Evaluator<'a> {
             log,
             delta_active: _,
             synced: _,
-            batch_out,
-            diff_tasks,
-            diff_procs,
-            diff_drlcs,
             stats,
         } = self;
         EvaluatorArenas {
@@ -713,10 +657,6 @@ impl<'a> Evaluator<'a> {
             struct_seeds,
             eid_scratch,
             log,
-            batch_out,
-            diff_tasks,
-            diff_procs,
-            diff_drlcs,
             stats,
         }
     }
@@ -749,17 +689,6 @@ impl<'a> Evaluator<'a> {
     /// [`evaluate_delta`](Evaluator::evaluate_delta)'s fast path.
     pub fn is_synced(&self) -> bool {
         self.synced
-    }
-
-    /// Declares the mirrors stale: the caller mutated the mapping
-    /// behind the evaluator's back (e.g. replayed a speculatively
-    /// scored move on the resident mapping). The next
-    /// [`evaluate_delta`](Evaluator::evaluate_delta) then takes its
-    /// full-evaluate fall-back instead of repairing from a state that
-    /// no longer matches.
-    pub fn invalidate_sync(&mut self) {
-        self.synced = false;
-        self.delta_active = false;
     }
 
     /// Sets the repair budget — relaxations the ordered sweep may spend
@@ -1026,47 +955,6 @@ impl<'a> Evaluator<'a> {
         );
         self.rollback_delta_state();
         self.delta_active = false;
-    }
-
-    /// Scores `candidates` against a common `base` mapping, amortizing
-    /// the single full synchronization: the base is evaluated once,
-    /// then each candidate is applied as a delta (diffed directly
-    /// against the base — candidates may differ from it by *any*
-    /// number of moves) and reverted. Results are returned per
-    /// candidate, in order; the slice stays valid until the next call.
-    /// After the call the evaluator is synchronized to `base`.
-    ///
-    /// # Errors
-    ///
-    /// The outer error reports an infeasible `base`. Per-candidate
-    /// errors (capacity, cycles) land in the corresponding slot and
-    /// are exactly those [`evaluate`] would report.
-    pub fn evaluate_batch(
-        &mut self,
-        base: &Mapping,
-        candidates: &[Mapping],
-    ) -> Result<&[Result<EvalSummary, MappingError>], MappingError> {
-        self.evaluate(base)?;
-        self.batch_out.clear();
-        for cand in candidates {
-            self.stats.evaluations += 1;
-            self.log.clear();
-            self.seeds.clear();
-            self.struct_seeds.clear();
-            self.lp.discard_journal();
-            self.log.hw_count = self.hw_count;
-            self.delta_active = true;
-            self.apply_diff(base, cand);
-            let r = self.finish_delta();
-            let ok = r.is_ok();
-            self.batch_out.push(r);
-            if ok {
-                // Back to the base for the next candidate.
-                self.rollback_delta_state();
-                self.delta_active = false;
-            }
-        }
-        Ok(&self.batch_out)
     }
 
     /// Full evaluation with the per-task trace (starts, completions,
@@ -1348,113 +1236,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Diffs `cand` against `base` (the synchronized state) and applies
-    /// every difference to the mirrors, logged and seeded. Used by the
-    /// batch path, where a candidate may differ by many moves.
-    fn apply_diff(&mut self, base: &Mapping, cand: &Mapping) {
-        let app = self.app;
-        let arch = self.arch;
-        self.diff_tasks.clear();
-        self.diff_procs.clear();
-        self.diff_drlcs.clear();
-        for t in app.task_ids() {
-            if base.placement(t) != cand.placement(t) {
-                self.diff_tasks.push(t.0);
-                // A hardware placement that changed on either side can
-                // alter its device's context areas and reconfiguration
-                // weights even when the context *membership* lists
-                // compare equal (a pure re-implementation), so those
-                // devices must be rebuilt too.
-                if let Placement::Hardware { drlc, .. } = base.placement(t) {
-                    self.diff_drlcs.push(drlc as u32);
-                }
-                if let Placement::Hardware { drlc, .. } = cand.placement(t) {
-                    self.diff_drlcs.push(drlc as u32);
-                }
-            }
-        }
-        for p in 0..arch.processors().len() {
-            if base.proc_order(p) != cand.proc_order(p) {
-                self.diff_procs.push(p as u32);
-            }
-        }
-        for d in 0..arch.drlcs().len() {
-            if base.contexts(d) != cand.contexts(d) {
-                self.diff_drlcs.push(d as u32);
-            }
-        }
-        self.diff_drlcs.sort_unstable();
-        self.diff_drlcs.dedup();
-
-        // Tasks that left software lose their chain links up front so
-        // the per-processor walks below see a consistent membership.
-        for i in 0..self.diff_tasks.len() {
-            let t = self.diff_tasks[i];
-            if self.kind[t as usize] == K_SW
-                && !matches!(cand.placement(TaskId(t)), Placement::Software { .. })
-            {
-                self.unsplice_sw(t);
-            }
-        }
-        for i in 0..self.diff_tasks.len() {
-            let t = TaskId(self.diff_tasks[i]);
-            self.update_task(cand, t);
-        }
-        // Walk each differing processor order and re-link it; every
-        // changed predecessor seeds its task.
-        for i in 0..self.diff_procs.len() {
-            let p = self.diff_procs[i] as usize;
-            let order = cand.proc_order(p);
-            for pos in 0..order.len() {
-                let t = order[pos].0;
-                let want_prev = if pos > 0 { order[pos - 1].0 } else { NONE };
-                let want_next = if pos + 1 < order.len() {
-                    order[pos + 1].0
-                } else {
-                    NONE
-                };
-                let Self {
-                    prev_sw,
-                    next_sw,
-                    log,
-                    seeds,
-                    struct_seeds,
-                    ..
-                } = self;
-                if log_set_u32(&mut log.prev_sw, prev_sw, t, want_prev) {
-                    seeds.push(t);
-                    struct_seeds.push(t);
-                }
-                log_set_u32(&mut log.next_sw, next_sw, t, want_next);
-            }
-        }
-        // Rebuild the differing devices: diff, clear old markers,
-        // commit, set new markers (same order as the single-move path).
-        for i in 0..self.diff_drlcs.len() {
-            let d = self.diff_drlcs[i] as usize;
-            self.rebuild_drlc_into_alt(cand, d);
-        }
-        for i in 0..self.diff_drlcs.len() {
-            let d = self.diff_drlcs[i] as usize;
-            self.diff_seed_drlc(d);
-        }
-        for i in 0..self.diff_drlcs.len() {
-            let d = self.diff_drlcs[i] as usize;
-            self.clear_bundles_logged(d);
-        }
-        for i in 0..self.diff_drlcs.len() {
-            let d = self.diff_drlcs[i] as usize;
-            let st = &mut self.drlcs[d];
-            std::mem::swap(&mut st.cur, &mut st.alt);
-            std::mem::swap(&mut st.cur_len, &mut st.alt_len);
-            self.log.swapped.push(d as u32);
-        }
-        for i in 0..self.diff_drlcs.len() {
-            let d = self.diff_drlcs[i] as usize;
-            self.set_bundles_logged(d);
-        }
-    }
-
     /// Shared tail of every delta: capacity check from the mirrors (in
     /// `(device, context)` order, same error priority as the
     /// reference), bounded label repair, summary. Reverts the delta on
@@ -1656,10 +1437,6 @@ impl<'a> Evaluator<'a> {
     fn arena_capacity(&self) -> usize {
         let mut cap = self.seeds.capacity()
             + self.eid_scratch.capacity()
-            + self.batch_out.capacity()
-            + self.diff_tasks.capacity()
-            + self.diff_procs.capacity()
-            + self.diff_drlcs.capacity()
             + self.lp.scratch_capacity()
             + self.log.capacity();
         for st in &self.drlcs {
@@ -1933,68 +1710,5 @@ mod tests {
                 evaluator.stats()
             );
         }
-    }
-
-    #[test]
-    fn batch_matches_sequential_evaluation() {
-        let (app, arch) = fixture();
-        let mut rng = StdRng::seed_from_u64(23);
-        let base = random_initial(&app, &arch, &mut rng);
-        let mut scratch = MoveScratch::default();
-        let mut candidates = Vec::new();
-        for _ in 0..24 {
-            let mut cand = base.clone();
-            // Candidates may be several moves away from the base.
-            let hops = 1 + (rng.random::<u32>() % 3) as usize;
-            for h in 0..hops {
-                let _ = if h % 2 == 0 {
-                    propose_pair_move(&app, &arch, &mut cand, &mut rng, &mut scratch)
-                } else {
-                    propose_impl_move(&app, &arch, &mut cand, &mut rng, &mut scratch)
-                };
-            }
-            candidates.push(cand);
-        }
-        let mut evaluator = Evaluator::new(&app, &arch);
-        let results: Vec<_> = evaluator
-            .evaluate_batch(&base, &candidates)
-            .unwrap()
-            .to_vec();
-        assert_eq!(results.len(), candidates.len());
-        for (cand, got) in candidates.iter().zip(&results) {
-            let reference = evaluate(&app, &arch, cand);
-            match (got, &reference) {
-                (Ok(s), Ok(r)) => {
-                    assert_eq!(s.makespan.value().to_bits(), r.makespan.value().to_bits());
-                    assert_eq!(*s, r.summary());
-                }
-                (Err(e), Err(re)) => assert_eq!(e, re),
-                _ => panic!("feasibility diverged: {got:?} vs {reference:?}"),
-            }
-        }
-        // The evaluator is back on the base afterwards.
-        assert!(evaluator.is_synced());
-        let base_again = evaluator.evaluate(&base).unwrap();
-        assert_eq!(base_again, evaluate(&app, &arch, &base).unwrap().summary());
-    }
-
-    #[test]
-    fn batch_arenas_warm_across_calls() {
-        let (app, arch) = fixture();
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut evaluator = Evaluator::new(&app, &arch);
-        let mut scratch = MoveScratch::default();
-        for _ in 0..20 {
-            let base = random_initial(&app, &arch, &mut rng);
-            let mut candidates = Vec::new();
-            for _ in 0..8 {
-                let mut cand = base.clone();
-                let _ = propose_pair_move(&app, &arch, &mut cand, &mut rng, &mut scratch);
-                candidates.push(cand);
-            }
-            let _ = evaluator.evaluate_batch(&base, &candidates);
-        }
-        let stats = evaluator.stats();
-        assert!(stats.arenas_warm(), "batch arenas still growing: {stats:?}");
     }
 }

@@ -102,7 +102,7 @@ pub use explorer::{
     ParallelOptions, ParallelOutcome, SegmentUpdate, WarmStart,
 };
 pub use init::random_initial;
-pub use moves::{MoveDelta, MoveKind, MoveOutcome, MoveScratch, SpecCandidate};
+pub use moves::{MoveDelta, MoveKind, MoveOutcome, MoveScratch};
 pub use placement::{Placement, ResourceRef};
 // The shared multi-objective vocabulary, re-exported so downstream
 // layers (corpus, CLI, examples) speak one Pareto language.

@@ -491,31 +491,6 @@ impl PrevSlot {
     }
 }
 
-/// A speculatively proposed move, encoded as its *destination*: the
-/// exact slot `task` would occupy after the move, captured (with the
-/// same crate-private slot snapshot that powers [`MoveDelta`]) on the
-/// post-move state, then undone.
-///
-/// Replaying `detach(task)` + `slot.reinstate(task)` on any state that
-/// agrees with the proposal's origin state everywhere except possibly
-/// `task`'s own placement reproduces the proposed mapping bit-for-bit:
-/// detach∘insert is the identity on the rest of the structure, so "the
-/// state minus `task`" is the same object either way. This is what lets
-/// per-worker replicas score candidates concurrently and lets a commit
-/// be replayed on the resident mapping without re-running the proposal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpecCandidate {
-    pub(crate) task: TaskId,
-    pub(crate) slot: PrevSlot,
-}
-
-impl SpecCandidate {
-    /// The task the candidate moves.
-    pub fn task(&self) -> TaskId {
-        self.task
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,8 @@
 //! Persistent work-stealing thread pool for the rdse workspace.
 //!
 //! Every parallel subsystem in the workspace — portfolio segments in
-//! `explore_parallel`, the corpus runner's scenario fan-out, the serve
-//! worker shards, and speculative move scoring inside a single
-//! annealing chain — used to spin up its own `std::thread::scope`, so
+//! `explore_parallel`, the corpus runner's scenario fan-out and the
+//! serve worker shards — used to spin up its own `std::thread::scope`, so
 //! thread creation was paid once per barrier. [`Pool`] pays it once per
 //! process: a fixed set of workers parks on a condition variable and
 //! drains three kinds of queues:
@@ -20,16 +19,17 @@
 //! # Design notes
 //!
 //! All queues live under a **single mutex**. Jobs in this workspace are
-//! coarse (an annealing segment, a corpus scenario, a batch of
-//! speculative evaluations — microseconds to seconds each), so queue
+//! coarse (an annealing segment or a corpus scenario — milliseconds to
+//! seconds each), so queue
 //! traffic is far too cold for per-queue locks or lock-free deques to
 //! matter; one lock keeps the invariants trivially auditable.
 //!
 //! [`Pool::run`] is a *scoped* barrier: it accepts non-`'static`
 //! closures, blocks until all of them ran, and while blocked the
 //! calling thread **helps drain** the pool instead of idling. Helping
-//! makes nested fan-out (a chain segment running on the pool that
-//! itself fans speculative evaluations out to the pool) deadlock-free:
+//! makes nested fan-out (a corpus scenario running on the pool that
+//! itself fans its portfolio's chain segments out to the pool)
+//! deadlock-free:
 //! a waiting owner always either executes a queued job or sleeps with
 //! every queue empty.
 //!

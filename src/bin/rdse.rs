@@ -7,8 +7,8 @@
 //!               [--sections N] [--branches N] [--workload FAM] [--arch-family FAM] [--dir D]
 //! rdse explore  --app F.json --arch F.json [--iters N] [--warmup N]
 //!               [--seed N] [--lambda X] [--chains K] [--threads T]
-//!               [--speculate W] [--exchange-every E] [--bandit]
-//!               [--front-exchange] [--gantt] [--profile] [--save-mapping F]
+//!               [--exchange-every E] [--bandit] [--front-exchange]
+//!               [--gantt] [--profile] [--save-mapping F]
 //!               [--objective makespan|weighted:<w_mk>,<w_area>,<w_rc>|lexi:<order>]
 //! rdse ga       --app F.json --arch F.json [--population N] [--generations N]
 //!               [--seed N] [--nsga2]
@@ -73,11 +73,43 @@ fn arg_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
+/// Flags of `rdse explore` that take a value.
+const EXPLORE_VALUE_FLAGS: &[&str] = &[
+    "--app",
+    "--arch",
+    "--iters",
+    "--warmup",
+    "--seed",
+    "--lambda",
+    "--chains",
+    "--threads",
+    "--exchange-every",
+    "--objective",
+    "--save-mapping",
+];
+
+/// Flags of `rdse explore` that take no value.
+const EXPLORE_SWITCHES: &[&str] = &["--bandit", "--front-exchange", "--gantt", "--profile"];
+
+/// The first argument after `explore` that is neither a switch nor a
+/// value flag (whose value it skips).
+fn unknown_explore_arg(args: &[String]) -> Option<&str> {
+    let mut rest = args.iter().skip(1).map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if EXPLORE_VALUE_FLAGS.contains(&arg) {
+            rest.next();
+        } else if !EXPLORE_SWITCHES.contains(&arg) {
+            return Some(arg);
+        }
+    }
+    None
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
          rdse generate <motion|figure1|layered|series-parallel> [--clbs N] [--seed N]\n                [--sections N] [--branches N] [--dir D]\n  \
-         rdse explore  --app F.json --arch F.json [--iters N] [--warmup N] [--seed N] [--lambda X]\n                [--chains K] [--threads T] [--speculate W] [--exchange-every E] [--bandit]\n                [--front-exchange] [--gantt] [--profile] [--save-mapping F]\n                [--objective makespan|weighted:<w_mk>,<w_area>,<w_rc>|lexi:<order>]\n  \
+         rdse explore  --app F.json --arch F.json [--iters N] [--warmup N] [--seed N] [--lambda X]\n                [--chains K] [--threads T] [--exchange-every E] [--bandit] [--front-exchange]\n                [--gantt] [--profile] [--save-mapping F]\n                [--objective makespan|weighted:<w_mk>,<w_area>,<w_rc>|lexi:<order>]\n  \
          rdse ga       --app F.json --arch F.json [--population N] [--generations N] [--seed N] [--nsga2]\n  \
          rdse sweep    [--app F.json] [--clbs A,B,...] [--bus A,B,...] [--iters N] [--seed N]\n                [--chains K] [--threads T] [--exchange-every E] [--out F.json] [--csv F.csv]\n  \
          rdse simulate --app F.json --arch F.json --mapping F.json [--contention]\n  \
@@ -216,6 +248,10 @@ fn generate(args: &[String]) -> ExitCode {
 }
 
 fn run_explore(args: &[String]) -> ExitCode {
+    if let Some(arg) = unknown_explore_arg(args) {
+        eprintln!("error: explore: unknown argument '{arg}'");
+        return ExitCode::from(EXIT_USAGE);
+    }
     let (app, arch) = match load_models(args) {
         Ok(m) => m,
         Err(e) => {
@@ -237,7 +273,6 @@ fn run_explore(args: &[String]) -> ExitCode {
         lambda: arg_num(args, "--lambda", 0.5),
         objective,
         bandit_moves: args.iter().any(|a| a == "--bandit"),
-        speculate: arg_num(args, "--speculate", 1),
         ..ExploreOptions::default()
     };
     let chains: usize = arg_num(args, "--chains", 1);
@@ -442,29 +477,18 @@ fn print_profile<C>(
     } else {
         "no (arenas still growing)".to_string()
     };
-    let mean_cone = if stats.repairs > 0 {
-        stats.cone_nodes as f64 / stats.repairs as f64
-    } else {
-        0.0
-    };
     println!(
         "profile {label}: {:.0} steps/s ({} steps in {:?}) | accepted {} rejected {} infeasible {} | allocation-free steps: {}",
         steps_per_sec, run.iterations, run.elapsed, run.accepted, run.rejected, run.infeasible, alloc_free
     );
     println!(
         "profile {label}: repairs {} (mean cone {:.1}, max cone {}) | full passes {} | fall-backs {}",
-        stats.repairs, mean_cone, stats.max_cone, stats.full_passes, stats.fallbacks
+        stats.repairs,
+        stats.mean_cone(),
+        stats.max_cone,
+        stats.full_passes,
+        stats.fallbacks
     );
-    if stats.spec_rounds > 0 {
-        println!(
-            "profile {label}: speculated {} (committed {}, wasted {}) | mean useful prefix {:.2} over {} rounds",
-            stats.speculated,
-            stats.spec_committed,
-            stats.spec_wasted,
-            stats.mean_useful_prefix(),
-            stats.spec_rounds
-        );
-    }
 }
 
 /// Serializes `value` to `path`, with an actionable message when the

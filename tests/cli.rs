@@ -104,6 +104,66 @@ fn valid_objective_specs_run_and_report_a_front() {
 }
 
 #[test]
+fn explore_rejects_unknown_flags_with_code_2() {
+    // A removed flag (`--speculate`) and a typo (`--iter` for
+    // `--iters`) must not silently run the defaults.
+    let (app, arch) = models();
+    for flag in ["--speculate", "--iter"] {
+        let out = rdse(&["explore", "--app", app, "--arch", arch, flag, "4"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown argument '{flag}'")),
+            "{flag}:\n{stderr}"
+        );
+    }
+}
+
+#[test]
+fn explore_accepts_every_documented_flag() {
+    let (app, arch) = models();
+    let mapping = std::env::temp_dir().join("rdse_cli_smoke_every_flag.json");
+    let out = rdse(&[
+        "explore",
+        "--app",
+        app,
+        "--arch",
+        arch,
+        "--iters",
+        "200",
+        "--warmup",
+        "40",
+        "--seed",
+        "3",
+        "--lambda",
+        "0.5",
+        "--chains",
+        "2",
+        "--threads",
+        "1",
+        "--exchange-every",
+        "50",
+        "--bandit",
+        "--front-exchange",
+        "--gantt",
+        "--profile",
+        "--save-mapping",
+        mapping.to_str().unwrap(),
+        "--objective",
+        "makespan",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("profile chain  0:"), "{stdout}");
+    assert!(stdout.contains("mapping saved :"), "{stdout}");
+    let _ = std::fs::remove_file(mapping);
+}
+
+#[test]
 fn serve_and_submit_help_exit_zero() {
     for (sub, expect) in [
         ("serve", "usage: rdse serve"),

@@ -3,7 +3,9 @@
 //! the baselines.
 
 use rdse::baseline::{random_search, GaOptions, GeneticExplorer};
-use rdse::mapping::{evaluate, explore, ExploreOptions, GanttChart};
+use rdse::mapping::{
+    evaluate, explore, explore_parallel, ChainStats, ExploreOptions, GanttChart, ParallelOptions,
+};
 use rdse::model::{Architecture, TaskGraph};
 use rdse::sim::{simulate, SimConfig};
 use rdse::workloads::{epicure_architecture, motion_detection_app, MOTION_DEADLINE};
@@ -170,6 +172,72 @@ fn same_seed_is_bit_identical() {
         a.mapping, b.mapping,
         "mapping differs between identical runs"
     );
+}
+
+/// The walk on the golden seeds, pinned by value: `(seed, makespan
+/// bits, best-cost bits, accepted, rejected, infeasible)`.
+type PinnedWalk = (u64, u64, u64, u64, u64, u64);
+
+/// One chain on Epicure 2000 at 3 000 iterations / 600 warm-up.
+const PINNED_SINGLE_CHAIN: [PinnedWalk; 3] = [
+    (1, 0x40dce9b8e0c0326e, 0x40dce9b8e0c0326e, 359, 1346, 1295),
+    (17, 0x40e0729eb20e0ce9, 0x40e0729eb20e0ce9, 354, 1278, 1368),
+    (42, 0x40dc3198baef22e9, 0x40dc3198baef22e9, 330, 1370, 1300),
+];
+
+/// Four chains exchanging every 250 iterations (the CI smoke config,
+/// whose `makespan bits` line prints seed 1's value); the counts are
+/// summed over the chains.
+const PINNED_FOUR_CHAINS: [PinnedWalk; 3] = [
+    (1, 0x40dcd2ffc99cb98a, 0x40dcd2ffc99cb98a, 605, 1267, 1128),
+    (17, 0x40dc2322e8161b6d, 0x40dc2322e8161b6d, 557, 1273, 1170),
+    (42, 0x40dc54d5648d7da1, 0x40dc54d5648d7da1, 557, 1284, 1159),
+];
+
+#[test]
+fn golden_seed_walks_are_pinned_by_value() {
+    // Same-seed agreement alone cannot catch a change that moves every
+    // run the same way; these constants pin the walk itself.
+    let app = motion_detection_app();
+    let arch = epicure_architecture(2000);
+    let base = |seed| ExploreOptions {
+        max_iterations: 3_000,
+        warmup_iterations: 600,
+        seed,
+        ..ExploreOptions::default()
+    };
+    let single = PINNED_SINGLE_CHAIN.map(|(seed, ..)| {
+        let out = explore(&app, &arch, &base(seed)).expect("motion explores");
+        (
+            seed,
+            out.evaluation.makespan.value().to_bits(),
+            out.run.best_cost.to_bits(),
+            out.run.accepted,
+            out.run.rejected,
+            out.run.infeasible,
+        )
+    });
+    let four = PINNED_FOUR_CHAINS.map(|(seed, ..)| {
+        let opts = ParallelOptions {
+            base: base(seed),
+            chains: 4,
+            threads: 2,
+            exchange_every: 250,
+            ..ParallelOptions::default()
+        };
+        let out = explore_parallel(&app, &arch, &opts).expect("motion explores");
+        let sum = |count: fn(&ChainStats) -> u64| out.chains.iter().map(count).sum::<u64>();
+        (
+            seed,
+            out.evaluation.makespan.value().to_bits(),
+            out.chains[out.winner].run.best_cost.to_bits(),
+            sum(|c| c.run.accepted),
+            sum(|c| c.run.rejected),
+            sum(|c| c.run.infeasible),
+        )
+    });
+    assert_eq!(single, PINNED_SINGLE_CHAIN, "one chain");
+    assert_eq!(four, PINNED_FOUR_CHAINS, "four chains");
 }
 
 #[test]
