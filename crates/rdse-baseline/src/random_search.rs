@@ -1,7 +1,7 @@
 //! Pure random sampling — the weakest baseline, calibrating how much
 //! structure the annealer and the GA actually exploit.
 
-use rdse_mapping::{random_initial, Evaluation, Evaluator, Mapping, MappingError};
+use rdse_mapping::{evaluate, random_initial, Evaluation, Evaluator, Mapping, MappingError};
 use rdse_model::{Architecture, TaskGraph};
 
 use rand::rngs::StdRng;
@@ -35,7 +35,7 @@ pub fn random_search(
         }
     }
     let (mapping, _) = best.expect("at least one sample was drawn");
-    let evaluation = evaluator.evaluate_full(&mapping)?;
+    let evaluation = evaluate(app, arch, &mapping)?;
     Ok((mapping, evaluation))
 }
 

@@ -12,7 +12,13 @@
 //!
 //! Both engines walk the *same* RNG stream and produce bit-identical
 //! best costs (asserted below), so the ratio is a pure engine-overhead
-//! measurement. Results append to `RDSE_BENCH_JSON` (NDJSON) next to
+//! measurement.
+//!
+//! A third row, **arch_explore/motion**, times the architecture
+//! co-exploration (m3/m4 resource moves on top of the mapping moves)
+//! on motion from an over-provisioned single-FPGA platform with a
+//! three-FPGA catalog, the 40 ms deadline and the default budget — the
+//! setup of `examples/architecture_exploration.rs`. Results append to `RDSE_BENCH_JSON` (NDJSON) next to
 //! the criterion records, with an explicit `steps_per_sec` field that
 //! CI surfaces in the job log.
 //!
@@ -23,11 +29,12 @@ use rand::{RngCore, SeedableRng};
 use rdse_anneal::{Annealer, LamSchedule, Problem, RunOptions};
 use rdse_mapping::moves::{propose_impl_move, propose_pair_move, MoveScratch};
 use rdse_mapping::{
-    evaluate, random_initial, Evaluation, ExploreOptions, Explorer, Mapping, MappingError,
-    Objective,
+    evaluate, explore_architecture, random_initial, ArchExploreOptions, Evaluation, ExploreOptions,
+    Explorer, Mapping, MappingError, Objective, ResourceCatalog,
 };
-use rdse_model::{Architecture, TaskGraph};
-use rdse_workloads::{epicure_architecture, motion_detection_app};
+use rdse_model::units::{Clbs, Micros};
+use rdse_model::{Architecture, DrlcSpec, ProcessorSpec, TaskGraph};
+use rdse_workloads::{epicure_architecture, motion_detection_app, MOTION_DEADLINE};
 use std::io::Write as _;
 use std::time::Instant;
 
@@ -157,6 +164,37 @@ fn opts(steps: u64) -> ExploreOptions {
     }
 }
 
+/// Steps per second of `explore_architecture` on motion: one warm-up
+/// job, then `jobs` timed jobs of the default 20 000 steps.
+fn arch_explore_rate(app: &TaskGraph, jobs: u64) -> (u64, std::time::Duration) {
+    let catalog = ResourceCatalog {
+        processors: vec![ProcessorSpec::new("arm922", 10.0)],
+        drlcs: vec![
+            DrlcSpec::new("virtex-500", Clbs::new(500), Micros::new(22.5), 12.0),
+            DrlcSpec::new("virtex-1000", Clbs::new(1000), Micros::new(22.5), 20.0),
+            DrlcSpec::new("virtex-2000", Clbs::new(2000), Micros::new(22.5), 35.0),
+        ],
+        asics: vec![],
+    };
+    let initial = Architecture::builder("over-provisioned")
+        .processor("arm922", 10.0)
+        .drlc("virtex-2000", Clbs::new(2000), Micros::new(22.5), 35.0)
+        .bus_rate(25.0)
+        .build()
+        .expect("valid architecture");
+    let opts = |seed| ArchExploreOptions {
+        seed,
+        deadline: MOTION_DEADLINE,
+        ..ArchExploreOptions::default()
+    };
+    explore_architecture(app, initial.clone(), &catalog, &opts(0)).expect("motion explores");
+    let start = Instant::now();
+    for seed in 1..=jobs {
+        explore_architecture(app, initial.clone(), &catalog, &opts(seed)).expect("motion explores");
+    }
+    (jobs * opts(0).max_iterations, start.elapsed())
+}
+
 fn append_record(record: &str) {
     let Ok(path) = std::env::var("RDSE_BENCH_JSON") else {
         return;
@@ -231,6 +269,13 @@ fn main() {
     );
     println!("bench anneal_steps/speedup      {speedup:>12.2}x");
 
+    // Five jobs of 20 000 steps: the default 100 000-step budget.
+    let (arch_steps, arch_time) = arch_explore_rate(&app, (steps / 20_000).max(1));
+    let arch_rate = arch_steps as f64 / arch_time.as_secs_f64();
+    println!(
+        "bench arch_explore/motion       {arch_rate:>12.0} steps/s ({arch_steps} steps in {arch_time:?})"
+    );
+
     append_record(&format!(
         "{{\"name\":\"anneal_steps/incremental\",\"steps_per_sec\":{inc_rate:.0},\
          \"steps\":{inc_steps},\"seconds\":{:.6}}}",
@@ -243,5 +288,10 @@ fn main() {
     ));
     append_record(&format!(
         "{{\"name\":\"anneal_steps/speedup\",\"ratio\":{speedup:.3}}}"
+    ));
+    append_record(&format!(
+        "{{\"name\":\"arch_explore/motion\",\"steps_per_sec\":{arch_rate:.0},\
+         \"steps\":{arch_steps},\"seconds\":{:.6}}}",
+        arch_time.as_secs_f64()
     ));
 }

@@ -13,18 +13,27 @@
 //! New resources are drawn from a [`ResourceCatalog`] (the component
 //! library a system architect would select from); each catalog entry
 //! carries the cost used by the objective.
+//!
+//! Like [`MappingProblem`](crate::MappingProblem), the walk runs on the
+//! incremental [`Evaluator`]: mapping moves are delta-scored and undone
+//! by their [`MoveDelta`]; a resource move saves the pre-move pair,
+//! [`retarget`](Evaluator::retarget)s the evaluator and runs one full
+//! pass, and its undo puts the pair back and retargets again.
 
 use crate::error::MappingError;
-use crate::eval::{evaluate, Evaluation};
+use crate::eval::{evaluate, EvalSummary, Evaluation};
+use crate::evaluator::Evaluator;
 use crate::init::random_initial;
-use crate::moves::{propose_impl_move, propose_pair_move, MoveScratch};
+use crate::moves::{propose_impl_move, propose_pair_move, MoveDelta, MoveScratch};
 use crate::placement::Placement;
 use crate::solution::Mapping;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rdse_anneal::{Annealer, Cost, LamSchedule, ParetoFront, Problem, RunOptions};
 use rdse_model::units::Micros;
-use rdse_model::{Architecture, AsicSpec, DrlcSpec, ProcessorSpec, TaskGraph};
+use rdse_model::{
+    Architecture, ArchitectureBuilder, AsicSpec, DrlcSpec, ProcessorSpec, TaskGraph, TaskId,
+};
 
 /// The cost vector of an architecture × mapping pair: system cost
 /// (component prices) against schedule latency — the trade-off the
@@ -79,14 +88,6 @@ pub struct ResourceCatalog {
     pub drlcs: Vec<DrlcSpec>,
     /// Dedicated circuits that may be instantiated.
     pub asics: Vec<AsicSpec>,
-}
-
-impl ResourceCatalog {
-    fn n_kinds(&self) -> usize {
-        usize::from(!self.processors.is_empty())
-            + usize::from(!self.drlcs.is_empty())
-            + usize::from(!self.asics.is_empty())
-    }
 }
 
 /// Options for a cost-driven architecture exploration.
@@ -148,7 +149,10 @@ pub struct ArchProblem<'a> {
     catalog: &'a ResourceCatalog,
     arch: Architecture,
     mapping: Mapping,
-    current: Evaluation,
+    evaluator: Evaluator<'a>,
+    current: EvalSummary,
+    /// Architecture and mapping before the last resource move.
+    saved: Option<(Architecture, Mapping)>,
     scratch: MoveScratch,
     opts: ArchExploreOptions,
 }
@@ -167,23 +171,26 @@ impl<'a> ArchProblem<'a> {
     ) -> Result<Self, MappingError> {
         let mut rng = StdRng::seed_from_u64(opts.seed ^ 0xA5C4);
         let mapping = random_initial(app, &initial_arch, &mut rng);
-        let current = evaluate(app, &initial_arch, &mapping)?;
+        let mut evaluator = Evaluator::new(app, &initial_arch);
+        let current = evaluator.evaluate(&mapping)?;
         Ok(ArchProblem {
             app,
             catalog,
             arch: initial_arch,
             mapping,
+            evaluator,
             current,
+            saved: None,
             scratch: MoveScratch::default(),
             opts,
         })
     }
 
-    fn objective(&self, eval: &Evaluation) -> f64 {
-        let excess = (eval.makespan.value() - self.opts.deadline.value()).max(0.0);
+    fn objective(&self, makespan: Micros) -> f64 {
+        let excess = (makespan.value() - self.opts.deadline.value()).max(0.0);
         self.arch.total_cost()
             + excess * self.opts.penalty_per_micro
-            + eval.makespan.value() * self.opts.makespan_weight
+            + makespan.value() * self.opts.makespan_weight
     }
 
     /// The current architecture.
@@ -191,180 +198,151 @@ impl<'a> ArchProblem<'a> {
         &self.arch
     }
 
+    /// The current mapping.
+    pub fn mapping(&self) -> &Mapping {
+        &self.mapping
+    }
+
     /// Consumes the problem into its outcome parts, attaching the
-    /// cost/performance front recorded by the annealer.
+    /// cost/performance front recorded by the annealer. The per-task
+    /// trace is computed here, once.
     pub fn into_outcome(self, front: ParetoFront<ArchCost>) -> ArchExploreOutcome {
-        let cost = self.objective(&self.current);
+        let evaluation = evaluate(self.app, &self.arch, &self.mapping)
+            .expect("resident mapping is feasible by invariant");
         ArchExploreOutcome {
+            cost: self.objective(self.current.makespan),
             architecture: self.arch,
             mapping: self.mapping,
-            evaluation: self.current,
-            cost,
+            evaluation,
             front,
         }
+    }
+
+    /// Keeps the pre-move architecture and mapping for the undo and
+    /// installs `arch` — called once a resource move is certain.
+    fn save_and_set(&mut self, arch: Architecture) {
+        let prev = std::mem::replace(&mut self.arch, arch);
+        self.saved = Some((prev, self.mapping.clone()));
+    }
+
+    /// Puts the saved pre-move architecture and mapping back.
+    fn restore_saved(&mut self) {
+        (self.arch, self.mapping) = self.saved.take().expect("a resource move is outstanding");
+        self.resync().expect("the pre-move state was feasible");
+    }
+
+    /// Points the evaluator at the resident architecture and scores the
+    /// resident mapping with one full pass — after a state the
+    /// evaluator has not seen (resource move, undo, restore).
+    fn resync(&mut self) -> Result<EvalSummary, MappingError> {
+        self.evaluator.retarget(&self.arch);
+        self.evaluator.evaluate(&self.mapping)
     }
 
     /// m4: instantiate a random catalog component and move one task
     /// onto it. Returns `false` if nothing could be created.
     fn create_resource(&mut self, rng: &mut dyn RngCore) -> bool {
-        if self.catalog.n_kinds() == 0 || self.app.n_tasks() == 0 {
+        let (catalog, n_tasks) = (self.catalog, self.app.n_tasks());
+        let no_kinds = catalog.processors.is_empty() && catalog.drlcs.is_empty();
+        if no_kinds && catalog.asics.is_empty() || n_tasks == 0 {
             return false;
         }
-        // Rebuild the architecture with one extra component.
-        let kind = rng.random_range(0..3usize);
-        let mut b = Architecture::builder(self.arch.name().to_owned());
-        for p in self.arch.processors() {
-            b = b.processor(p.name().to_owned(), p.cost());
-        }
-        for d in self.arch.drlcs() {
-            b = b.drlc(
-                d.name().to_owned(),
-                d.n_clbs(),
-                d.reconfig_time_per_clb(),
-                d.cost(),
-            );
-        }
-        for a in self.arch.asics() {
-            b = b.asic(a.name().to_owned(), a.cost());
-        }
-        b = b.bus_rate(self.arch.bus().bytes_per_micro());
-        match kind {
-            0 if !self.catalog.processors.is_empty() => {
-                let spec =
-                    &self.catalog.processors[rng.random_range(0..self.catalog.processors.len())];
-                b = b.processor(spec.name().to_owned(), spec.cost());
-                self.arch = b.build().expect("extended architecture stays valid");
+        match rng.random_range(0..3usize) {
+            0 if !catalog.processors.is_empty() => {
+                let spec = &catalog.processors[rng.random_range(0..catalog.processors.len())];
+                self.save_and_set(rebuilt(&self.arch, None, |b| {
+                    b.processor(spec.name(), spec.cost())
+                }));
                 let p = self.mapping.add_processor_slot();
                 // Assign a random task to the new processor.
-                let t = rdse_model::TaskId(rng.random_range(0..self.app.n_tasks() as u32));
+                let t = TaskId(rng.random_range(0..n_tasks as u32));
                 self.mapping.detach(t);
                 self.mapping.insert_software(t, p, 0);
-                true
             }
-            1 if !self.catalog.drlcs.is_empty() => {
-                let spec = &self.catalog.drlcs[rng.random_range(0..self.catalog.drlcs.len())];
-                b = b.drlc(
-                    spec.name().to_owned(),
-                    spec.n_clbs(),
-                    spec.reconfig_time_per_clb(),
-                    spec.cost(),
-                );
-                self.arch = b.build().expect("extended architecture stays valid");
+            1 if !catalog.drlcs.is_empty() => {
+                let spec = &catalog.drlcs[rng.random_range(0..catalog.drlcs.len())];
+                self.save_and_set(rebuilt(&self.arch, None, |b| {
+                    let (clbs, rate) = (spec.n_clbs(), spec.reconfig_time_per_clb());
+                    b.drlc(spec.name(), clbs, rate, spec.cost())
+                }));
                 let d = self.mapping.add_drlc_slot();
-                // Assign a random hardware-capable, fitting task.
+                // Assign a random hardware-capable, fitting task; with
+                // none, the empty device is legal.
                 let cap = spec.n_clbs();
-                let candidates: Vec<rdse_model::TaskId> = self
+                let candidates: Vec<TaskId> = self
                     .app
                     .tasks()
                     .filter(|(_, t)| t.hw_impls().iter().any(|i| i.clbs() <= cap))
                     .map(|(id, _)| id)
                     .collect();
-                if candidates.is_empty() {
-                    return true; // architecture changed; empty device is legal
+                if !candidates.is_empty() {
+                    let t = candidates[rng.random_range(0..candidates.len())];
+                    let impls = self.app.task(t).expect("task id in range").hw_impls();
+                    let fitting: Vec<usize> = (0..impls.len())
+                        .filter(|&i| impls[i].clbs() <= cap)
+                        .collect();
+                    let choice = fitting[rng.random_range(0..fitting.len())];
+                    self.mapping.detach(t);
+                    self.mapping.insert_new_context(t, d, 0, choice);
                 }
-                let t = candidates[rng.random_range(0..candidates.len())];
-                let impls = self.app.task(t).expect("task id in range").hw_impls();
-                let fitting: Vec<usize> = (0..impls.len())
-                    .filter(|&i| impls[i].clbs() <= cap)
-                    .collect();
-                let choice = fitting[rng.random_range(0..fitting.len())];
-                self.mapping.detach(t);
-                self.mapping.insert_new_context(t, d, 0, choice);
-                true
             }
-            _ if !self.catalog.asics.is_empty() => {
-                let spec = &self.catalog.asics[rng.random_range(0..self.catalog.asics.len())];
-                b = b.asic(spec.name().to_owned(), spec.cost());
-                self.arch = b.build().expect("extended architecture stays valid");
+            _ if !catalog.asics.is_empty() => {
+                let spec = &catalog.asics[rng.random_range(0..catalog.asics.len())];
+                self.save_and_set(rebuilt(&self.arch, None, |b| {
+                    b.asic(spec.name(), spec.cost())
+                }));
                 let a = self.arch.asics().len() - 1;
-                let candidates: Vec<rdse_model::TaskId> = self
-                    .app
-                    .tasks()
-                    .filter(|(_, t)| !t.hw_impls().is_empty())
-                    .map(|(id, _)| id)
-                    .collect();
-                if let Some(&t) = candidates.first() {
+                let first = self.app.tasks().find(|(_, t)| !t.hw_impls().is_empty());
+                if let Some((t, _)) = first {
                     self.mapping.detach(t);
                     self.mapping.insert_asic(t, a);
                 }
-                true
             }
-            _ => false,
+            _ => return false,
         }
+        true
     }
 
-    /// m3: remove a resource hosting at most one task, reassigning that
-    /// task to processor 0. Returns `false` when no resource can go.
-    fn remove_resource(&mut self, rng: &mut dyn RngCore) -> bool {
-        // Candidate kinds: extra processors (never processor 0 — the
-        // fallback host), DRLCs with ≤ 1 hardware task, ASICs with ≤ 1.
-        let mut options: Vec<(usize, usize)> = Vec::new(); // (kind, index)
-        for p in 1..self.arch.processors().len() {
-            if self.mapping.proc_order(p).len() <= 1 {
-                options.push((0, p));
-            }
-        }
-        for d in 0..self.arch.drlcs().len() {
-            let n_tasks: usize = self.mapping.contexts(d).iter().map(|c| c.len()).sum();
-            if n_tasks <= 1 {
-                options.push((1, d));
-            }
-        }
-        for a in 0..self.arch.asics().len() {
-            let n_tasks = self
-                .app
-                .task_ids()
-                .filter(|&t| self.mapping.placement(t) == Placement::Asic { asic: a })
-                .count();
-            if n_tasks <= 1 {
-                options.push((2, a));
-            }
-        }
-        let Some(&(kind, idx)) = options.get(rng.random_range(0..options.len().max(1))) else {
-            return false;
-        };
-
-        // Move the (single) hosted task to processor 0's end.
-        let hosted: Vec<rdse_model::TaskId> = self
-            .app
+    /// Tasks on resource `idx` of `kind` (0 processor, 1 DRLC, 2 ASIC).
+    fn hosted(&self, kind: usize, idx: usize) -> impl Iterator<Item = TaskId> + '_ {
+        self.app
             .task_ids()
-            .filter(|&t| match (kind, self.mapping.placement(t)) {
+            .filter(move |&t| match (kind, self.mapping.placement(t)) {
                 (0, Placement::Software { processor }) => processor == idx,
                 (1, Placement::Hardware { drlc, .. }) => drlc == idx,
                 (2, Placement::Asic { asic }) => asic == idx,
                 _ => false,
             })
+    }
+
+    /// m3: remove a resource hosting at most one task, reassigning that
+    /// task to processor 0. Returns `false` when no resource can go.
+    fn remove_resource(&mut self, rng: &mut dyn RngCore) -> bool {
+        // Candidates, as (kind, index): extra processors (never
+        // processor 0 — the fallback host), DRLCs and ASICs, each
+        // hosting at most one task.
+        let arch = &self.arch;
+        let kinds = [
+            (0, 1..arch.processors().len()),
+            (1, 0..arch.drlcs().len()),
+            (2, 0..arch.asics().len()),
+        ];
+        let options: Vec<(usize, usize)> = kinds
+            .into_iter()
+            .flat_map(|(kind, range)| range.map(move |i| (kind, i)))
+            .filter(|&(kind, i)| self.hosted(kind, i).nth(1).is_none())
             .collect();
-        for t in hosted {
+        let Some(&(kind, idx)) = options.get(rng.random_range(0..options.len().max(1))) else {
+            return false;
+        };
+        let single = self.hosted(kind, idx).next();
+        self.save_and_set(rebuilt(&self.arch, Some((kind, idx)), |b| b));
+        // Move the hosted task to processor 0's end.
+        if let Some(t) = single {
             self.mapping.detach(t);
             let end = self.mapping.proc_order(0).len();
             self.mapping.insert_software(t, 0, end);
         }
-
-        // Rebuild the architecture without the component and renumber.
-        let mut b = Architecture::builder(self.arch.name().to_owned());
-        for (i, p) in self.arch.processors().iter().enumerate() {
-            if !(kind == 0 && i == idx) {
-                b = b.processor(p.name().to_owned(), p.cost());
-            }
-        }
-        for (i, d) in self.arch.drlcs().iter().enumerate() {
-            if !(kind == 1 && i == idx) {
-                b = b.drlc(
-                    d.name().to_owned(),
-                    d.n_clbs(),
-                    d.reconfig_time_per_clb(),
-                    d.cost(),
-                );
-            }
-        }
-        for (i, a) in self.arch.asics().iter().enumerate() {
-            if !(kind == 2 && i == idx) {
-                b = b.asic(a.name().to_owned(), a.cost());
-            }
-        }
-        b = b.bus_rate(self.arch.bus().bytes_per_micro());
-        self.arch = b.build().expect("reduced architecture keeps processor 0");
         match kind {
             0 => self.mapping.remove_processor_slot(idx),
             1 => self.mapping.remove_drlc_slot(idx),
@@ -374,16 +352,47 @@ impl<'a> ArchProblem<'a> {
     }
 }
 
+/// `arch` without component `skip` (kind and index, as in
+/// [`ArchProblem::hosted`]) and with the components `add` puts in.
+fn rebuilt(
+    arch: &Architecture,
+    skip: Option<(usize, usize)>,
+    add: impl FnOnce(ArchitectureBuilder) -> ArchitectureBuilder,
+) -> Architecture {
+    let kept = |kind, i| skip != Some((kind, i));
+    let mut b = Architecture::builder(arch.name());
+    for (i, p) in arch.processors().iter().enumerate() {
+        if kept(0, i) {
+            b = b.processor(p.name(), p.cost());
+        }
+    }
+    for (i, d) in arch.drlcs().iter().enumerate() {
+        if kept(1, i) {
+            b = b.drlc(d.name(), d.n_clbs(), d.reconfig_time_per_clb(), d.cost());
+        }
+    }
+    for (i, a) in arch.asics().iter().enumerate() {
+        if kept(2, i) {
+            b = b.asic(a.name(), a.cost());
+        }
+    }
+    add(b.bus_rate(arch.bus().bytes_per_micro()))
+        .build()
+        .expect("resource moves keep processor 0 and valid devices")
+}
+
 impl Problem for ArchProblem<'_> {
-    type Move = (Architecture, Mapping, Evaluation);
-    type Snapshot = (Architecture, Mapping, Evaluation);
+    /// The mapping move's delta (none for a resource move, whose
+    /// pre-move state the problem keeps) and the pre-move summary.
+    type Move = (Option<MoveDelta>, EvalSummary);
+    type Snapshot = (Architecture, Mapping, EvalSummary);
     type Cost = ArchCost;
 
     fn cost(&self) -> ArchCost {
         ArchCost {
             system_cost: self.arch.total_cost(),
             makespan: self.current.makespan.value(),
-            penalized: self.objective(&self.current),
+            penalized: self.objective(self.current.makespan),
         }
     }
 
@@ -392,76 +401,66 @@ impl Problem for ArchProblem<'_> {
     }
 
     fn try_move(&mut self, rng: &mut dyn RngCore, class: usize) -> Option<(Self::Move, ArchCost)> {
-        let prev = (
-            self.arch.clone(),
-            self.mapping.clone(),
-            self.current.clone(),
-        );
-        let changed = match class {
-            0 => propose_pair_move(
-                self.app,
-                &self.arch,
-                &mut self.mapping,
-                rng,
-                &mut self.scratch,
-            )
-            .is_some(),
-            1 => propose_impl_move(
-                self.app,
-                &self.arch,
-                &mut self.mapping,
-                rng,
-                &mut self.scratch,
-            )
-            .is_some(),
+        let (app, arch) = (self.app, &self.arch);
+        let (delta, scored) = match class {
+            0 | 1 => {
+                // Proposals leave the mapping unchanged on None.
+                let delta = if class == 0 {
+                    propose_pair_move(app, arch, &mut self.mapping, rng, &mut self.scratch)
+                } else {
+                    propose_impl_move(app, arch, &mut self.mapping, rng, &mut self.scratch)
+                }?
+                .delta;
+                let scored = self.evaluator.evaluate_delta(&self.mapping, delta.task());
+                if scored.is_err() {
+                    // The evaluator has already reverted itself.
+                    delta.undo(&mut self.mapping);
+                }
+                (Some(delta), scored)
+            }
             _ => {
                 // m3/m4, drawn with equal probability.
-                if rng.random::<bool>() {
+                let resized = if rng.random::<bool>() {
                     self.create_resource(rng)
                 } else {
                     self.remove_resource(rng)
+                };
+                if !resized {
+                    return None;
                 }
+                let scored = self.resync();
+                if scored.is_err() {
+                    self.restore_saved();
+                }
+                (None, scored)
             }
         };
-        if !changed {
-            self.arch = prev.0;
-            self.mapping = prev.1;
-            self.current = prev.2;
-            return None;
-        }
-        match evaluate(self.app, &self.arch, &self.mapping) {
-            Ok(eval) => {
-                self.current = eval;
-                let cost = self.cost();
-                Some((prev, cost))
-            }
-            Err(_) => {
-                self.arch = prev.0;
-                self.mapping = prev.1;
-                self.current = prev.2;
-                None
-            }
-        }
+        let prev = std::mem::replace(&mut self.current, scored.ok()?);
+        Some(((delta, prev), self.cost()))
     }
 
-    fn undo(&mut self, mv: Self::Move) {
-        self.arch = mv.0;
-        self.mapping = mv.1;
-        self.current = mv.2;
+    fn undo(&mut self, (delta, prev): Self::Move) {
+        match delta {
+            Some(delta) => {
+                self.evaluator.revert_delta();
+                delta.undo(&mut self.mapping);
+            }
+            None => self.restore_saved(),
+        }
+        self.current = prev;
     }
 
     fn snapshot(&self) -> Self::Snapshot {
-        (
-            self.arch.clone(),
-            self.mapping.clone(),
-            self.current.clone(),
-        )
+        (self.arch.clone(), self.mapping.clone(), self.current)
     }
 
     fn restore(&mut self, snapshot: &Self::Snapshot) {
-        self.arch = snapshot.0.clone();
-        self.mapping = snapshot.1.clone();
-        self.current = snapshot.2.clone();
+        self.restore_owned(snapshot.clone());
+    }
+
+    fn restore_owned(&mut self, snapshot: Self::Snapshot) {
+        (self.arch, self.mapping, self.current) = snapshot;
+        self.resync().expect("snapshots are feasible");
     }
 
     fn observables(&self) -> Vec<(&'static str, f64)> {

@@ -27,8 +27,7 @@ pub struct EvalBreakdown {
 /// `Copy`: keeping, undoing or snapshotting a summary is a register
 /// move, unlike the heavyweight per-task trace of [`Evaluation`]
 /// (starts, completions, critical path) which is computed on demand
-/// for reports via [`evaluate`] /
-/// [`Evaluator::evaluate_full`](crate::Evaluator::evaluate_full).
+/// for reports via [`evaluate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalSummary {
     /// Longest path of the search graph — the system execution time.

@@ -1,10 +1,12 @@
 //! The incremental evaluation engine: a data-oriented, delta-repairing
-//! re-implementation of [`evaluate`] for the annealing hot path.
+//! re-implementation of [`evaluate`](crate::eval::evaluate) for the
+//! annealing hot path.
 //!
 //! Simulated annealing scores thousands of candidate mappings per run
 //! (§4.3–4.4), and a portfolio run multiplies that by the chain count.
-//! The from-scratch [`evaluate`] allocates a fresh search graph,
-//! topological order and label vectors on every call; [`Evaluator`]
+//! The from-scratch [`evaluate`](crate::eval::evaluate) allocates a
+//! fresh search graph, topological order and label vectors on every
+//! call; [`Evaluator`]
 //! instead mirrors the mapping in flat structure-of-arrays form and
 //! keeps longest-path labels alive across moves:
 //!
@@ -35,7 +37,8 @@
 //! # Determinism contract
 //!
 //! `Evaluator::evaluate` and `evaluate_delta` return *bit-identical*
-//! makespans and breakdowns to the from-scratch [`evaluate`]:
+//! makespans and breakdowns to the from-scratch
+//! [`evaluate`](crate::eval::evaluate):
 //!
 //! * every completion label is `w(v) + max(0, max over in-edges
 //!   (completion(u) + w(u,v)))` — a max over a finite candidate set,
@@ -56,7 +59,7 @@
 //! the golden-seed end-to-end tests enforce this.
 
 use crate::error::MappingError;
-use crate::eval::{evaluate, EvalBreakdown, EvalSummary, Evaluation};
+use crate::eval::{EvalBreakdown, EvalSummary};
 use crate::placement::Placement;
 use crate::searchgraph::same_device;
 use crate::solution::Mapping;
@@ -71,7 +74,9 @@ const K_SW: u8 = 0;
 const K_HW: u8 = 1;
 const K_ASIC: u8 = 2;
 
-/// Packs a `(device, context)` bundle marker into one `u32`.
+/// Packs a `(device, context)` bundle marker into one `u32`. Both
+/// indices fit 16 bits: [`Mapping`] stores them as `u16` and rejects
+/// larger ones in every build.
 #[inline]
 fn enc_bundle(d: usize, k: usize) -> u32 {
     debug_assert!(d < 0x1_0000 && k < 0x1_0000, "bundle marker overflow");
@@ -158,13 +163,18 @@ struct CtxState {
 }
 
 /// Mirror of one DRLC's context list, double-buffered so a delta can
-/// rebuild into `alt` and diff against `cur` before committing.
+/// rebuild into `alt` and diff against `cur` before committing, plus
+/// the two device numbers the evaluation reads.
 ///
 /// Buffers only grow: `cur`/`alt` keep `CtxState` slots (and their
 /// inner vectors) alive past the current length, so steady-state
 /// rebuilds recycle capacity instead of allocating.
 #[derive(Debug, Clone, Default)]
 struct DrlcState {
+    /// Device capacity.
+    n_clbs: Clbs,
+    /// Reconfiguration time per CLB.
+    per_clb: Micros,
     cur: Vec<CtxState>,
     cur_len: usize,
     alt: Vec<CtxState>,
@@ -323,14 +333,18 @@ impl RepairGraph for Overlay<'_> {
     }
 }
 
-/// Reusable evaluation engine bound to one `app` × `arch` pair.
+/// Reusable evaluation engine for one application, targeted at one
+/// architecture at a time.
 ///
 /// Construct once per search (or per chain), synchronize with a full
 /// [`evaluate`](Evaluator::evaluate), then score single-move neighbours
 /// with [`evaluate_delta`](Evaluator::evaluate_delta) (revertible via
-/// [`revert_delta`](Evaluator::revert_delta)). The heavyweight
-/// per-task trace is available on demand via
-/// [`evaluate_full`](Evaluator::evaluate_full).
+/// [`revert_delta`](Evaluator::revert_delta)). The evaluator borrows
+/// only the [`TaskGraph`]: it copies the few architecture numbers it
+/// reads (device capacities, reconfiguration rates, bus transfer
+/// times), so [`retarget`](Evaluator::retarget) can point it at a new
+/// architecture while keeping every arena. The heavyweight per-task
+/// trace comes from the from-scratch [`evaluate`](crate::eval::evaluate).
 ///
 /// # Examples
 ///
@@ -358,8 +372,9 @@ impl RepairGraph for Overlay<'_> {
 #[derive(Debug, Clone)]
 pub struct Evaluator<'a> {
     app: &'a TaskGraph,
-    arch: &'a Architecture,
     n: usize,
+    /// Processor count of the targeted architecture.
+    n_procs: usize,
     /// The application's data edges in CSR form over `n + 1` nodes
     /// (node `n` is the virtual source; it carries no data edges).
     /// Edge `eid` is `app.edges()[eid]`; edge weights are the current
@@ -383,7 +398,8 @@ pub struct Evaluator<'a> {
     drlc_of: Vec<u32>,
     /// Number of hardware-placed tasks.
     hw_count: u32,
-    /// Double-buffered per-DRLC context mirrors.
+    /// Double-buffered per-DRLC context mirrors, one per device of the
+    /// targeted architecture.
     drlcs: Vec<DrlcState>,
     /// Generation-stamped context membership (avoids clearing).
     membership: Vec<u64>,
@@ -409,14 +425,14 @@ pub struct Evaluator<'a> {
 }
 
 /// A lifetime-free bundle of every arena an [`Evaluator`] owns,
-/// detached from the `app`/`arch` borrows so it can be cached across
+/// detached from the `app` borrow so it can be cached across
 /// jobs (the serving layer keeps one per warm (app, arch) entry).
 ///
 /// Produced by [`Evaluator::into_arenas`] and revived by
 /// [`Evaluator::with_arenas`]. Reviving performs a full shape check
-/// (task count, edge count *and endpoints*, device count) and falls
-/// back to a fresh build on any mismatch, and always recomputes the
-/// bus-rate-dependent transfer table and resets the delta machinery,
+/// (task count, edge count *and endpoints*) and falls back to a fresh
+/// build on any mismatch, and always [retargets](Evaluator::retarget)
+/// to the given architecture and resets the delta machinery,
 /// so a revived evaluator is observationally identical to a freshly
 /// constructed one: the first full `evaluate` resynchronizes every
 /// mapping-dependent mirror. Only allocation capacities (and the
@@ -444,19 +460,17 @@ pub struct EvaluatorArenas {
 }
 
 impl EvaluatorArenas {
-    /// `true` if these arenas were sized for exactly this `app` ×
-    /// `arch` pair: same task count, same data edges (count and
-    /// endpoints) and same device count. Weight-like content (exec
-    /// times, bus rate) is *not* checked — it is rewritten wholesale
-    /// on revival.
-    pub fn fits(&self, app: &TaskGraph, arch: &Architecture) -> bool {
+    /// `true` if these arenas were sized for exactly this `app`: same
+    /// task count and same data edges (count and endpoints). Weight-like
+    /// content (exec times) and everything taken from the architecture
+    /// is *not* checked — it is rewritten wholesale on revival.
+    pub fn fits(&self, app: &TaskGraph) -> bool {
         let n = app.n_tasks();
         let m = app.edges().len();
         self.n == n
             && self.xfer.len() == m
             && self.dag.n_nodes() == n + 1
             && self.dag.n_edges() == m
-            && self.drlcs.len() == arch.drlcs().len()
             && app
                 .edges()
                 .iter()
@@ -483,9 +497,8 @@ impl<'a> Evaluator<'a> {
     /// Prepares mirrors and arenas for `app` × `arch`. All per-task
     /// buffers are pre-sized; list capacities warm up over the first
     /// few evaluations.
-    pub fn new(app: &'a TaskGraph, arch: &'a Architecture) -> Self {
+    pub fn new(app: &'a TaskGraph, arch: &Architecture) -> Self {
         let n = app.n_tasks();
-        let bus = arch.bus();
         let edges: Vec<(u32, u32, f64)> = app
             .edges()
             .iter()
@@ -493,17 +506,12 @@ impl<'a> Evaluator<'a> {
             .collect();
         let dag = DenseDag::from_edges(n + 1, &edges, &vec![0.0; n + 1])
             .expect("application data edges form a valid graph");
-        let xfer = app
-            .edges()
-            .iter()
-            .map(|e| bus.transfer_time(e.bytes).value())
-            .collect();
-        Evaluator {
+        let mut evaluator = Evaluator {
             app,
-            arch,
             n,
+            n_procs: 0,
             dag,
-            xfer,
+            xfer: vec![0.0; app.edges().len()],
             prev_sw: vec![NONE; n],
             next_sw: vec![NONE; n],
             in_bundle: vec![NONE; n],
@@ -511,7 +519,7 @@ impl<'a> Evaluator<'a> {
             kind: vec![K_SW; n],
             drlc_of: vec![NONE; n],
             hw_count: 0,
-            drlcs: vec![DrlcState::default(); arch.drlcs().len()],
+            drlcs: Vec::with_capacity(arch.drlcs().len()),
             membership: vec![0; n],
             generation: 0,
             lp: {
@@ -531,31 +539,29 @@ impl<'a> Evaluator<'a> {
             delta_active: false,
             synced: false,
             stats: EvaluatorStats::default(),
-        }
+        };
+        evaluator.copy_arch(arch);
+        evaluator
     }
 
     /// Revives a cached [`EvaluatorArenas`] bundle for `app` × `arch`,
     /// recycling every allocation instead of going through the
     /// allocator again. Falls back to [`Evaluator::new`] when the
-    /// arenas do not [fit](EvaluatorArenas::fits) this pair.
+    /// arenas do not [fit](EvaluatorArenas::fits) `app`.
     ///
     /// The revived evaluator starts unsynchronized (like a fresh one):
     /// the first full [`evaluate`](Evaluator::evaluate) rewrites every
-    /// mapping-dependent mirror and the transfer table is recomputed
-    /// here from `arch`'s bus, so results are bit-identical to a
+    /// mapping-dependent mirror and the architecture numbers are copied
+    /// here from `arch`, so results are bit-identical to a
     /// cold-started evaluator regardless of what the arenas last held.
-    pub fn with_arenas(
-        app: &'a TaskGraph,
-        arch: &'a Architecture,
-        arenas: EvaluatorArenas,
-    ) -> Self {
-        if !arenas.fits(app, arch) {
+    pub fn with_arenas(app: &'a TaskGraph, arch: &Architecture, arenas: EvaluatorArenas) -> Self {
+        if !arenas.fits(app) {
             return Evaluator::new(app, arch);
         }
         let EvaluatorArenas {
             n,
             dag,
-            mut xfer,
+            xfer,
             prev_sw,
             next_sw,
             in_bundle,
@@ -569,22 +575,17 @@ impl<'a> Evaluator<'a> {
             mut seeds,
             mut struct_seeds,
             mut eid_scratch,
-            mut log,
+            log,
             stats,
         } = arenas;
-        let bus = arch.bus();
-        for (slot, e) in xfer.iter_mut().zip(app.edges()) {
-            *slot = bus.transfer_time(e.bytes).value();
-        }
         lp.set_threshold(n + 2);
-        log.clear();
         seeds.clear();
         struct_seeds.clear();
         eid_scratch.clear();
-        Evaluator {
+        let mut evaluator = Evaluator {
             app,
-            arch,
             n,
+            n_procs: 0,
             dag,
             xfer,
             prev_sw,
@@ -605,10 +606,46 @@ impl<'a> Evaluator<'a> {
             delta_active: false,
             synced: false,
             stats,
+        };
+        evaluator.retarget(arch);
+        evaluator
+    }
+
+    /// Points the evaluator at another architecture for the same
+    /// application — the m3/m4 resource moves of architecture
+    /// exploration. The bus transfer table is recomputed in place, the
+    /// per-device mirrors are resized (the ones kept keep their
+    /// buffers), and every per-task arena is reused. The evaluator
+    /// is left unsynchronized: the next [`evaluate`](Evaluator::evaluate)
+    /// (or [`evaluate_delta`](Evaluator::evaluate_delta)) is a full pass,
+    /// bit-identical to a fresh [`Evaluator::new`] on `arch`.
+    pub fn retarget(&mut self, arch: &Architecture) {
+        self.synced = false;
+        self.delta_active = false;
+        self.log.clear();
+        self.lp.discard_journal();
+        self.copy_arch(arch);
+    }
+
+    /// Copies the architecture numbers the evaluation reads: processor
+    /// count, per-device capacity and reconfiguration rate, and the bus
+    /// transfer time of every data edge. Surplus device mirrors are
+    /// dropped; missing ones start empty.
+    fn copy_arch(&mut self, arch: &Architecture) {
+        self.n_procs = arch.processors().len();
+        let bus = arch.bus();
+        for (slot, e) in self.xfer.iter_mut().zip(self.app.edges()) {
+            *slot = bus.transfer_time(e.bytes).value();
+        }
+        self.drlcs
+            .resize_with(arch.drlcs().len(), DrlcState::default);
+        for (st, spec) in self.drlcs.iter_mut().zip(arch.drlcs()) {
+            st.n_clbs = spec.n_clbs();
+            st.per_clb = spec.reconfig_time_per_clb();
         }
     }
 
-    /// Detaches the arenas from the `app`/`arch` borrows so they can
+    /// Detaches the arenas from the `app` borrow so they can
     /// outlive the models (e.g. in a warm-evaluator cache). The
     /// exhaustive destructuring here is deliberate: adding a field to
     /// [`Evaluator`] will not compile until a decision is made about
@@ -616,8 +653,8 @@ impl<'a> Evaluator<'a> {
     pub fn into_arenas(self) -> EvaluatorArenas {
         let Evaluator {
             app: _,
-            arch: _,
             n,
+            n_procs: _,
             dag,
             xfer,
             prev_sw,
@@ -666,11 +703,6 @@ impl<'a> Evaluator<'a> {
         self.app
     }
 
-    /// The architecture this evaluator is bound to.
-    pub fn arch(&self) -> &'a Architecture {
-        self.arch
-    }
-
     /// Arena and repair counters (see [`EvaluatorStats`]).
     pub fn stats(&self) -> EvaluatorStats {
         let r = self.lp.stats();
@@ -713,7 +745,7 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Exactly as [`evaluate`]:
+    /// Exactly as [`evaluate`](crate::eval::evaluate):
     /// [`MappingError::CapacityExceeded`] when a context overflows its
     /// device, [`MappingError::CyclicSchedule`] when the imposed orders
     /// contradict the precedence graph.
@@ -721,9 +753,9 @@ impl<'a> Evaluator<'a> {
     /// # Panics
     ///
     /// Panics if `mapping` does not belong to this evaluator's `app` ×
-    /// `arch` (index out of range).
+    /// targeted architecture (index out of range).
     pub fn evaluate(&mut self, mapping: &Mapping) -> Result<EvalSummary, MappingError> {
-        let (app, arch) = (self.app, self.arch);
+        let app = self.app;
         self.stats.evaluations += 1;
         self.synced = false;
         self.delta_active = false;
@@ -735,10 +767,10 @@ impl<'a> Evaluator<'a> {
         // pass records the peak context occupancy — the clb_area
         // objective, a `u32` max, so both engines agree exactly.
         let mut clb_area = Clbs::new(0);
-        for (d, spec) in arch.drlcs().iter().enumerate() {
+        for (d, st) in self.drlcs.iter().enumerate() {
             for c in 0..mapping.contexts(d).len() {
                 let used = mapping.context_clbs(app, d, c);
-                if used > spec.n_clbs() {
+                if used > st.n_clbs {
                     return Err(MappingError::CapacityExceeded {
                         drlc: d,
                         context: c,
@@ -785,7 +817,7 @@ impl<'a> Evaluator<'a> {
         // Processor chains (Esw).
         self.prev_sw.fill(NONE);
         self.next_sw.fill(NONE);
-        for p in 0..arch.processors().len() {
+        for p in 0..self.n_procs {
             for pair in mapping.proc_order(p).windows(2) {
                 self.next_sw[pair[0].index()] = pair[1].0;
                 self.prev_sw[pair[1].index()] = pair[0].0;
@@ -793,7 +825,7 @@ impl<'a> Evaluator<'a> {
         }
 
         // Context mirrors and bundle markers (Ehw).
-        for d in 0..arch.drlcs().len() {
+        for d in 0..self.drlcs.len() {
             self.rebuild_drlc_into_alt(mapping, d);
             let st = &mut self.drlcs[d];
             std::mem::swap(&mut st.cur, &mut st.alt);
@@ -862,8 +894,8 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// As [`evaluate`], with the same error priority (capacity before
-    /// cycles).
+    /// As [`evaluate`](crate::eval::evaluate), with the same error
+    /// priority (capacity before cycles).
     pub fn evaluate_delta(
         &mut self,
         mapping: &Mapping,
@@ -955,18 +987,6 @@ impl<'a> Evaluator<'a> {
         );
         self.rollback_delta_state();
         self.delta_active = false;
-    }
-
-    /// Full evaluation with the per-task trace (starts, completions,
-    /// critical path) — the report path. Allocates; use
-    /// [`evaluate`](Evaluator::evaluate) or
-    /// [`evaluate_delta`](Evaluator::evaluate_delta) on the hot path.
-    ///
-    /// # Errors
-    ///
-    /// As [`evaluate`].
-    pub fn evaluate_full(&self, mapping: &Mapping) -> Result<Evaluation, MappingError> {
-        evaluate(self.app, self.arch, mapping)
     }
 
     // --- delta machinery -------------------------------------------------
@@ -1114,8 +1134,6 @@ impl<'a> Evaluator<'a> {
     /// terminals), recycling capacity.
     fn rebuild_drlc_into_alt(&mut self, mapping: &Mapping, d: usize) {
         let app = self.app;
-        let arch = self.arch;
-        let spec = &arch.drlcs()[d];
         let n_ctxs = mapping.contexts(d).len();
         let Self {
             dag,
@@ -1134,7 +1152,8 @@ impl<'a> Evaluator<'a> {
             let used = mapping.context_clbs(app, d, k);
             let slot = &mut st.alt[k];
             slot.clbs = used.value();
-            slot.reconfig = spec.reconfiguration_time(used).value();
+            // `DrlcSpec::reconfiguration_time`, on the copied rate.
+            slot.reconfig = (st.per_clb * f64::from(used.value())).value();
             *generation += 1;
             let g = *generation;
             for &t in ctx_tasks {
@@ -1244,8 +1263,8 @@ impl<'a> Evaluator<'a> {
     fn finish_delta(&mut self) -> Result<EvalSummary, MappingError> {
         let mut clb_area = Clbs::new(0);
         for d in 0..self.drlcs.len() {
-            let cap = self.arch.drlcs()[d].n_clbs();
             let st = &self.drlcs[d];
+            let cap = st.n_clbs;
             for c in 0..st.cur_len {
                 let used = Clbs::new(st.cur[c].clbs);
                 if used > cap {
@@ -1452,6 +1471,7 @@ impl<'a> Evaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::evaluate;
     use crate::init::random_initial;
     use crate::moves::{propose_impl_move, propose_pair_move, MoveScratch};
     use rand::rngs::StdRng;
@@ -1572,7 +1592,7 @@ mod tests {
         let mut evaluator = Evaluator::new(&app, &arch);
         let m = Mapping::all_software(&app, &arch, topo(&app));
         let summary = evaluator.evaluate(&m).unwrap();
-        let full = evaluator.evaluate_full(&m).unwrap();
+        let full = evaluate(&app, &arch, &m).unwrap();
         assert_eq!(full.summary(), summary);
         assert_eq!(full.makespan, us(35.0));
     }

@@ -21,7 +21,7 @@
 
 use crate::cost::{CostVector, ObjectiveKey};
 use crate::error::MappingError;
-use crate::eval::{EvalSummary, Evaluation};
+use crate::eval::{evaluate, EvalSummary, Evaluation};
 use crate::evaluator::{Evaluator, EvaluatorArenas, EvaluatorStats};
 use crate::init::random_initial;
 use crate::moves::{propose_impl_move, propose_pair_move, MoveDelta, MoveScratch};
@@ -403,9 +403,7 @@ impl<'a> MappingProblem<'a> {
     /// evaluator's arenas for reuse by a later problem over the same
     /// `app` × `arch` pair.
     pub fn into_parts_with_arenas(self) -> (Mapping, Evaluation, EvaluatorArenas) {
-        let evaluation = self
-            .evaluator
-            .evaluate_full(&self.mapping)
+        let evaluation = evaluate(self.app, self.arch, &self.mapping)
             .expect("resident mapping is feasible by invariant");
         (self.mapping, evaluation, self.evaluator.into_arenas())
     }

@@ -4,7 +4,8 @@ use crate::error::MappingError;
 use crate::placement::{Placement, ResourceRef};
 use rdse_model::units::{Clbs, Micros};
 use rdse_model::{Architecture, TaskGraph, TaskId};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::fmt;
 
 /// One run-time context of a reconfigurable device: a set of hardware
 /// tasks configured and executed together (§3.2). Contexts execute in
@@ -38,6 +39,90 @@ impl Context {
     }
 }
 
+/// One task's [`Placement`] packed into a word of four `u16` fields:
+/// kind (bits 0–15), device (16–31), context (32–47) and
+/// implementation (48–63). Fields a kind does not use are zero, so
+/// equal placements pack to equal words.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Packed(u64);
+
+const KIND_SW: u64 = 0;
+const KIND_HW: u64 = 1;
+const KIND_ASIC: u64 = 2;
+
+impl Packed {
+    /// Packs `place`, or returns the first index that does not fit a
+    /// `u16`.
+    fn try_pack(place: Placement) -> Result<Packed, usize> {
+        let field = |i: usize| u16::try_from(i).map(u64::from).map_err(|_| i);
+        Ok(Packed(match place {
+            Placement::Software { processor } => KIND_SW | field(processor)? << 16,
+            Placement::Hardware {
+                drlc,
+                context,
+                hw_impl,
+            } => KIND_HW | field(drlc)? << 16 | field(context)? << 32 | field(hw_impl)? << 48,
+            Placement::Asic { asic } => KIND_ASIC | field(asic)? << 16,
+        }))
+    }
+
+    /// Packs `place`, panicking (in release builds too) on an index
+    /// above `u16::MAX`.
+    fn pack(place: Placement) -> Packed {
+        Packed::try_pack(place)
+            .unwrap_or_else(|i| panic!("placement index {i} exceeds {}", u16::MAX))
+    }
+
+    #[inline]
+    fn kind(self) -> u64 {
+        self.0 & 0xFFFF
+    }
+
+    #[inline]
+    fn device(self) -> usize {
+        (self.0 >> 16 & 0xFFFF) as usize
+    }
+
+    #[inline]
+    fn context(self) -> usize {
+        (self.0 >> 32 & 0xFFFF) as usize
+    }
+
+    #[inline]
+    fn with_device(self, device: usize) -> Packed {
+        Packed(self.0 & !(0xFFFF << 16) | (device as u64) << 16)
+    }
+
+    #[inline]
+    fn with_context(self, context: usize) -> Packed {
+        Packed(self.0 & !(0xFFFF << 32) | (context as u64) << 32)
+    }
+
+    #[inline]
+    fn unpack(self) -> Placement {
+        match self.kind() {
+            KIND_SW => Placement::Software {
+                processor: self.device(),
+            },
+            KIND_HW => Placement::Hardware {
+                drlc: self.device(),
+                context: self.context(),
+                hw_impl: (self.0 >> 48) as usize,
+            },
+            _ => Placement::Asic {
+                asic: self.device(),
+            },
+        }
+    }
+}
+
+/// Prints the decoded [`Placement`].
+impl fmt::Debug for Packed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.unpack().fmt(f)
+    }
+}
+
 /// A complete candidate solution (§3.3): spatial partitioning, temporal
 /// partitioning, processor orders and implementation selection.
 ///
@@ -45,11 +130,52 @@ impl Context {
 /// [`Placement`] always agrees with the processor orders and context
 /// lists); [`Mapping::validate`] re-checks every invariant and is used
 /// liberally in tests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Placements are stored packed, one 8-byte word per task, so every
+/// device, context and implementation index is at most `u16::MAX`:
+/// the `insert_*` mutations panic beyond it (in release builds too),
+/// and deserializing a larger index is an error. The JSON form is the
+/// plain `Vec<Placement>` one.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mapping {
-    placement: Vec<Placement>,
+    placement: Vec<Packed>,
     proc_order: Vec<Vec<TaskId>>,
     contexts: Vec<Vec<Context>>,
+}
+
+impl Serialize for Mapping {
+    fn to_value(&self) -> Value {
+        let placement = self.placement.iter().map(|p| p.unpack().to_value());
+        Value::Map(vec![
+            ("placement".to_string(), Value::Seq(placement.collect())),
+            ("proc_order".to_string(), self.proc_order.to_value()),
+            ("contexts".to_string(), self.contexts.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Mapping {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        if !matches!(v, Value::Map(_)) {
+            return Err(DeError::msg(format!("expected map for Mapping, got {v:?}")));
+        }
+        let field = |name: &str| {
+            v.get(name)
+                .ok_or_else(|| DeError::msg(format!("missing field `{name}` in Mapping")))
+        };
+        let placement = Vec::<Placement>::from_value(field("placement")?)?
+            .into_iter()
+            .map(|p| {
+                Packed::try_pack(p)
+                    .map_err(|i| DeError::msg(format!("placement index {i} exceeds {}", u16::MAX)))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Mapping {
+            placement,
+            proc_order: Deserialize::from_value(field("proc_order")?)?,
+            contexts: Deserialize::from_value(field("contexts")?)?,
+        })
+    }
 }
 
 impl Mapping {
@@ -68,7 +194,7 @@ impl Mapping {
         );
         assert_eq!(order.len(), app.n_tasks(), "order must cover all tasks");
         Mapping {
-            placement: vec![Placement::Software { processor: 0 }; app.n_tasks()],
+            placement: vec![Packed::pack(Placement::Software { processor: 0 }); app.n_tasks()],
             proc_order: {
                 let mut po = vec![Vec::new(); arch.processors().len()];
                 po[0] = order;
@@ -88,8 +214,9 @@ impl Mapping {
     /// # Panics
     ///
     /// Panics if `task` is out of range.
+    #[inline]
     pub fn placement(&self, task: TaskId) -> Placement {
-        self.placement[task.index()]
+        self.placement[task.index()].unpack()
     }
 
     /// The scheduling resource of one task.
@@ -183,7 +310,7 @@ impl Mapping {
         self.placement
             .iter()
             .enumerate()
-            .filter(|(_, p)| p.is_hardware())
+            .filter(|(_, p)| p.kind() == KIND_HW)
             .map(|(i, _)| TaskId(i as u32))
     }
 
@@ -219,18 +346,20 @@ impl Mapping {
     ///
     /// Panics if `position` exceeds the order length.
     pub fn insert_software(&mut self, task: TaskId, processor: usize, position: usize) {
+        let packed = Packed::pack(Placement::Software { processor });
         self.proc_order[processor].insert(position, task);
-        self.placement[task.index()] = Placement::Software { processor };
+        self.placement[task.index()] = packed;
     }
 
     /// Adds `task` to an existing context with implementation `hw_impl`.
     pub fn insert_hardware(&mut self, task: TaskId, drlc: usize, context: usize, hw_impl: usize) {
-        self.contexts[drlc][context].tasks.push(task);
-        self.placement[task.index()] = Placement::Hardware {
+        let packed = Packed::pack(Placement::Hardware {
             drlc,
             context,
             hw_impl,
-        };
+        });
+        self.contexts[drlc][context].tasks.push(task);
+        self.placement[task.index()] = packed;
     }
 
     /// Adds `task` to an existing context at an exact slot in the
@@ -250,12 +379,13 @@ impl Mapping {
         hw_impl: usize,
         slot: usize,
     ) {
-        self.contexts[drlc][context].tasks.insert(slot, task);
-        self.placement[task.index()] = Placement::Hardware {
+        let packed = Packed::pack(Placement::Hardware {
             drlc,
             context,
             hw_impl,
-        };
+        });
+        self.contexts[drlc][context].tasks.insert(slot, task);
+        self.placement[task.index()] = packed;
     }
 
     /// Spawns a new context at `position` in `drlc`'s context order
@@ -268,28 +398,31 @@ impl Mapping {
         position: usize,
         hw_impl: usize,
     ) {
-        self.contexts[drlc].insert(position, Context::singleton(task));
-        // Re-number placements for contexts displaced by the insertion.
-        for p in &mut self.placement {
-            if let Placement::Hardware {
-                drlc: d, context, ..
-            } = p
-            {
-                if *d == drlc && *context >= position {
-                    *context += 1;
-                }
-            }
-        }
-        self.placement[task.index()] = Placement::Hardware {
+        let packed = Packed::pack(Placement::Hardware {
             drlc,
             context: position,
             hw_impl,
-        };
+        });
+        // The last displaced context moves to index `len`.
+        let last = self.contexts[drlc].len();
+        assert!(
+            last <= usize::from(u16::MAX),
+            "placement index {last} exceeds {}",
+            u16::MAX
+        );
+        self.contexts[drlc].insert(position, Context::singleton(task));
+        // Re-number placements for contexts displaced by the insertion.
+        for p in &mut self.placement {
+            if p.kind() == KIND_HW && p.device() == drlc && p.context() >= position {
+                *p = p.with_context(p.context() + 1);
+            }
+        }
+        self.placement[task.index()] = packed;
     }
 
     /// Places `task` on an ASIC.
     pub fn insert_asic(&mut self, task: TaskId, asic: usize) {
-        self.placement[task.index()] = Placement::Asic { asic };
+        self.placement[task.index()] = Packed::pack(Placement::Asic { asic });
     }
 
     /// Changes the selected implementation of a hardware task.
@@ -298,8 +431,14 @@ impl Mapping {
     ///
     /// Panics if `task` is not placed in hardware.
     pub fn select_impl(&mut self, task: TaskId, hw_impl: usize) {
-        match &mut self.placement[task.index()] {
-            Placement::Hardware { hw_impl: cur, .. } => *cur = hw_impl,
+        match self.placement(task) {
+            Placement::Hardware { drlc, context, .. } => {
+                self.placement[task.index()] = Packed::pack(Placement::Hardware {
+                    drlc,
+                    context,
+                    hw_impl,
+                });
+            }
             other => panic!("select_impl on non-hardware placement {other:?}"),
         }
     }
@@ -331,14 +470,7 @@ impl Mapping {
             "processor {p} still has tasks"
         );
         self.proc_order.remove(p);
-        for place in &mut self.placement {
-            if let Placement::Software { processor } = place {
-                assert_ne!(*processor, p, "placement points at removed processor");
-                if *processor > p {
-                    *processor -= 1;
-                }
-            }
-        }
+        self.renumber_after_removal(KIND_SW, p, "processor");
     }
 
     /// Removes DRLC `d`'s context list — the m3 move. The list must be
@@ -350,14 +482,7 @@ impl Mapping {
     pub fn remove_drlc_slot(&mut self, d: usize) {
         assert!(self.contexts[d].is_empty(), "drlc {d} still has contexts");
         self.contexts.remove(d);
-        for place in &mut self.placement {
-            if let Placement::Hardware { drlc, .. } = place {
-                assert_ne!(*drlc, d, "placement points at removed drlc");
-                if *drlc > d {
-                    *drlc -= 1;
-                }
-            }
-        }
+        self.renumber_after_removal(KIND_HW, d, "drlc");
     }
 
     /// Renumbers ASIC placements after removal of ASIC `a` (which must
@@ -367,11 +492,18 @@ impl Mapping {
     ///
     /// Panics if a placement still references ASIC `a`.
     pub fn remove_asic_slot(&mut self, a: usize) {
-        for place in &mut self.placement {
-            if let Placement::Asic { asic } = place {
-                assert_ne!(*asic, a, "placement points at removed asic");
-                if *asic > a {
-                    *asic -= 1;
+        self.renumber_after_removal(KIND_ASIC, a, "asic");
+    }
+
+    /// Shifts every `kind` placement on a device after `removed` down by
+    /// one.
+    fn renumber_after_removal(&mut self, kind: u64, removed: usize, what: &str) {
+        for p in &mut self.placement {
+            if p.kind() == kind {
+                let d = p.device();
+                assert_ne!(d, removed, "placement points at removed {what}");
+                if d > removed {
+                    *p = p.with_device(d - 1);
                 }
             }
         }
@@ -380,15 +512,8 @@ impl Mapping {
     fn remove_context(&mut self, drlc: usize, context: usize) {
         self.contexts[drlc].remove(context);
         for p in &mut self.placement {
-            if let Placement::Hardware {
-                drlc: d,
-                context: c,
-                ..
-            } = p
-            {
-                if *d == drlc && *c > context {
-                    *c -= 1;
-                }
+            if p.kind() == KIND_HW && p.device() == drlc && p.context() > context {
+                *p = p.with_context(p.context() - 1);
             }
         }
     }
@@ -489,7 +614,7 @@ impl Mapping {
         }
         for (i, p) in self.placement.iter().enumerate() {
             let t = TaskId(i as u32);
-            match *p {
+            match p.unpack() {
                 Placement::Asic { asic } => {
                     if asic >= arch.asics().len() {
                         return Err(MappingError::UnknownResource(format!("asic{asic}")));
@@ -684,6 +809,85 @@ mod tests {
             m.validate(&app, &arch),
             Err(MappingError::NotHwCapable(TaskId(2)))
         );
+    }
+
+    /// A mapping using every placement kind: software, hardware in two
+    /// contexts and an ASIC.
+    fn mixed_mapping() -> (TaskGraph, Architecture, Mapping) {
+        let (app, _) = fixture();
+        let arch = Architecture::builder("mixed")
+            .processor("cpu", 1.0)
+            .drlc("fpga", Clbs::new(200), us(22.5), 1.0)
+            .asic("asic", 1.0)
+            .build()
+            .unwrap();
+        let mut m = Mapping::all_software(&app, &arch, topo_order(&app));
+        m.detach(TaskId(0));
+        m.insert_asic(TaskId(0), 0);
+        m.detach(TaskId(1));
+        m.insert_new_context(TaskId(1), 0, 0, 1);
+        m.validate(&app, &arch).unwrap();
+        (app, arch, m)
+    }
+
+    #[test]
+    fn json_is_the_plain_placement_vector_and_roundtrips_byte_identically() {
+        let (app, _, m) = mixed_mapping();
+        let placements: Vec<Placement> = app.task_ids().map(|t| m.placement(t)).collect();
+        let plain = Value::Map(vec![
+            ("placement".to_string(), placements.to_value()),
+            ("proc_order".to_string(), m.proc_order.to_value()),
+            ("contexts".to_string(), m.contexts.to_value()),
+        ]);
+        assert_eq!(m.to_value(), plain);
+        let json = serde_json::to_string(&m).unwrap();
+        assert!(json.contains(r#"{"Hardware":{"drlc":0,"context":0,"hw_impl":1}}"#));
+        let back: Mapping = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        assert_eq!(format!("{back:?}"), format!("{m:?}"));
+        assert!(format!("{m:?}").contains("Asic { asic: 0 }"));
+    }
+
+    #[test]
+    fn index_above_u16_max_is_a_deserialization_error() {
+        let (_, _, m) = mixed_mapping();
+        let json = serde_json::to_string(&m).unwrap();
+        for (from, to) in [
+            (r#""asic":0"#, r#""asic":65536"#),
+            (r#""hw_impl":1"#, r#""hw_impl":70000"#),
+            (r#""processor":0"#, r#""processor":18446744073709551615"#),
+        ] {
+            let bad = json.replacen(from, to, 1);
+            assert_ne!(bad, json);
+            let err = serde_json::from_str::<Mapping>(&bad).unwrap_err();
+            assert!(err.to_string().contains("exceeds 65535"), "{err}");
+        }
+        // The largest index that fits still decodes.
+        let edge = json.replacen(r#""asic":0"#, r#""asic":65535"#, 1);
+        let decoded: Mapping = serde_json::from_str(&edge).unwrap();
+        assert_eq!(
+            decoded.placement(TaskId(0)),
+            Placement::Asic { asic: 65535 }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "placement index 65536 exceeds 65535")]
+    fn insert_checks_the_index_range() {
+        let (app, arch) = fixture();
+        let mut m = Mapping::all_software(&app, &arch, topo_order(&app));
+        m.detach(TaskId(0));
+        m.insert_asic(TaskId(0), 65_536);
+    }
+
+    #[test]
+    #[should_panic(expected = "placement index 65536 exceeds 65535")]
+    fn insert_hardware_checks_the_context_range() {
+        let (app, arch) = fixture();
+        let mut m = Mapping::all_software(&app, &arch, topo_order(&app));
+        m.detach(TaskId(0));
+        m.insert_hardware(TaskId(0), 0, 65_536, 0);
     }
 
     #[test]

@@ -7,9 +7,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdse_anneal::Problem;
 use rdse_mapping::moves::{propose_impl_move, propose_pair_move};
-use rdse_mapping::{evaluate, random_initial, Cost, Evaluator, MappingProblem, MoveScratch};
+use rdse_mapping::{
+    evaluate, random_initial, ArchExploreOptions, ArchProblem, Cost, Evaluator, MappingProblem,
+    MoveScratch, ResourceCatalog,
+};
 use rdse_model::units::{Bytes, Clbs, Micros};
-use rdse_model::{Architecture, HwImpl, TaskGraph};
+use rdse_model::{Architecture, AsicSpec, DrlcSpec, HwImpl, ProcessorSpec, TaskGraph};
 
 /// Builds a random layered application from a compact recipe.
 fn build_app(n_tasks: usize, edge_density: u8, hw_seed: u64) -> TaskGraph {
@@ -57,8 +60,153 @@ fn arch(clbs: u32) -> Architecture {
         .expect("valid architecture")
 }
 
+/// The m4 component library: a processor, two DRLC sizes and an ASIC.
+fn catalog() -> ResourceCatalog {
+    ResourceCatalog {
+        processors: vec![ProcessorSpec::new("cpu", 10.0)],
+        drlcs: vec![
+            DrlcSpec::new("small", Clbs::new(150), Micros::new(2.0), 15.0),
+            DrlcSpec::new("big", Clbs::new(500), Micros::new(5.0), 40.0),
+        ],
+        asics: vec![AsicSpec::new("asic", 25.0)],
+    }
+}
+
+/// The architecture × mapping state of `problem` scores exactly as a
+/// from-scratch evaluation, and the mapping fits the architecture.
+fn check_arch_state(
+    app: &TaskGraph,
+    problem: &ArchProblem<'_>,
+    seed: u64,
+    step: u32,
+) -> Result<(), String> {
+    let (arch, mapping) = (problem.architecture(), problem.mapping());
+    mapping
+        .validate(app, arch)
+        .map_err(|e| format!("walk seed {seed}, step {step}: invalid mapping: {e}"))?;
+    let fresh = evaluate(app, arch, mapping)
+        .map_err(|e| format!("walk seed {seed}, step {step}: infeasible state: {e}"))?;
+    prop_assert_eq!(
+        problem.cost().makespan.to_bits(),
+        fresh.makespan.value().to_bits(),
+        "walk seed {seed}, step {step}: makespan bits"
+    );
+    prop_assert_eq!(
+        problem.cost().system_cost.to_bits(),
+        arch.total_cost().to_bits(),
+        "walk seed {seed}, step {step}: system cost bits"
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn arch_walks_score_like_from_scratch_evaluation(
+        n_tasks in 3usize..14,
+        density in 5u8..40,
+        seed in 0u64..1_000_000,
+        clbs in 100u32..600,
+    ) {
+        // Random walks over all three move classes — pair moves,
+        // implementation moves and m3/m4 resource moves — with random
+        // undos: after every step the incremental summary equals a
+        // from-scratch evaluation to the bit.
+        let app = build_app(n_tasks, density, seed);
+        let catalog = catalog();
+        let opts = ArchExploreOptions {
+            seed,
+            deadline: Micros::new(1_000.0),
+            ..ArchExploreOptions::default()
+        };
+        let mut problem = ArchProblem::new(&app, arch(clbs), &catalog, opts)
+            .map_err(|e| format!("walk seed {seed}: infeasible start: {e}"))?;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xA4C8);
+        let mut resized = false;
+        for step in 0..300u32 {
+            let class = rng.random_range(0..3usize);
+            let before = problem.cost();
+            if let Some((mv, cost)) = problem.try_move(&mut rng, class) {
+                prop_assert_eq!(cost, problem.cost(), "walk seed {seed}, step {step}");
+                check_arch_state(&app, &problem, seed, step)?;
+                resized |= class == 2;
+                if rng.random::<bool>() {
+                    problem.undo(mv);
+                    prop_assert_eq!(problem.cost(), before, "walk seed {seed}, undo {step}");
+                    check_arch_state(&app, &problem, seed, step)?;
+                }
+            } else {
+                prop_assert_eq!(problem.cost(), before, "walk seed {seed}, step {step}");
+            }
+        }
+        prop_assert!(resized, "walk seed {seed}: no resource move applied");
+    }
+
+    #[test]
+    fn retargeting_away_and_back_matches_a_fresh_evaluator(
+        n_tasks in 3usize..14,
+        density in 5u8..40,
+        seed in 0u64..1_000_000,
+        clbs in 100u32..600,
+    ) {
+        // A → B → A: the retargeted evaluator scores A's mapping, and a
+        // delta walk on it, bit-identically to a fresh evaluator on A.
+        let app = build_app(n_tasks, density, seed);
+        let a = arch(clbs);
+        let b = Architecture::builder("b")
+            .processor("cpu0", 1.0)
+            .processor("cpu1", 1.0)
+            .drlc("fpga0", Clbs::new(clbs / 2 + 20), Micros::new(3.0), 1.0)
+            .drlc("fpga1", Clbs::new(clbs + 50), Micros::new(7.5), 1.0)
+            .asic("asic", 1.0)
+            .bus_rate(20.0)
+            .build()
+            .expect("valid architecture");
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7A6E);
+        let mut mapping = random_initial(&app, &a, &mut rng);
+        let on_b = random_initial(&app, &b, &mut rng);
+        let mut retargeted = Evaluator::new(&app, &a);
+        retargeted.evaluate(&mapping).expect("feasible on A");
+        retargeted.retarget(&b);
+        prop_assert!(!retargeted.is_synced(), "walk seed {seed}: retarget left it synced");
+        let summary_b = retargeted.evaluate(&on_b).expect("feasible on B");
+        let fresh_b = evaluate(&app, &b, &on_b).expect("feasible on B");
+        prop_assert_eq!(summary_b, fresh_b.summary(), "walk seed {seed}: on B");
+        retargeted.retarget(&a);
+        let mut fresh = Evaluator::new(&app, &a);
+        let (got, want) = (retargeted.evaluate(&mapping), fresh.evaluate(&mapping));
+        prop_assert_eq!(
+            got.as_ref().map(|s| s.makespan.value().to_bits()),
+            want.as_ref().map(|s| s.makespan.value().to_bits()),
+            "walk seed {seed}: back on A"
+        );
+        prop_assert_eq!(got, want, "walk seed {seed}: back on A");
+        let mut scratch = MoveScratch::default();
+        for step in 0..100u32 {
+            let outcome = if step % 2 == 0 {
+                propose_pair_move(&app, &a, &mut mapping, &mut rng, &mut scratch)
+            } else {
+                propose_impl_move(&app, &a, &mut mapping, &mut rng, &mut scratch)
+            };
+            let Some(outcome) = outcome else { continue };
+            let task = outcome.delta.task();
+            let (got, want) = (
+                retargeted.evaluate_delta(&mapping, task),
+                fresh.evaluate_delta(&mapping, task),
+            );
+            prop_assert_eq!(got, want, "walk seed {seed}, step {step}");
+            match got {
+                Ok(_) if rng.random::<bool>() => {
+                    retargeted.revert_delta();
+                    fresh.revert_delta();
+                    outcome.delta.undo(&mut mapping);
+                }
+                Ok(_) => {}
+                Err(_) => outcome.delta.undo(&mut mapping),
+            }
+        }
+    }
 
     #[test]
     fn random_walks_preserve_all_invariants(
