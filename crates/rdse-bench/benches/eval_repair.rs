@@ -10,7 +10,7 @@
 //!
 //! * **delta** — [`Evaluator::evaluate_delta`] + coin-flip
 //!   [`Evaluator::revert_delta`], the annealer's actual hot shape:
-//!   certified ordered sweep over the repair cone, full-pass fall-back
+//!   certified sweep over the order suffix, full-pass fall-back
 //!   when the maintained topological order cannot absorb the move;
 //! * **full** — [`Evaluator::evaluate`] of every post-move mapping,
 //!   the arena-backed full pass (rejection is a plain mapping undo).

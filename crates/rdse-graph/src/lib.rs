@@ -9,11 +9,12 @@
 //! * [`dense::DenseDag`] — the same graph in CSR form (flat `u32` edge
 //!   slabs, structure-of-arrays attributes) for read-mostly hot paths,
 //!   plus [`dense::IncrementalLongestPath`], which keeps longest-path
-//!   labels up to date under *bounded repair*: after a delta touching
-//!   node set `T`, only the descendant cone of `T` is relabeled, with a
-//!   fall-back to a full Kahn pass when the cone exceeds a threshold.
-//!   Labels stay bit-identical to a from-scratch recompute (see the
-//!   [`dense`] module docs for the determinism argument);
+//!   labels and a topological order alive across deltas: after a delta
+//!   it relabels only the swept suffix of the recorded order, from the
+//!   first changed position on, and the caller falls back to a full
+//!   Kahn pass when the order cannot be certified. Labels stay
+//!   bit-identical to a from-scratch recompute (see the [`dense`]
+//!   module docs for the determinism argument);
 //! * [`topo`] — topological ordering and cycle diagnostics;
 //! * [`closure::TransitiveClosure`] — a bitset reachability matrix with
 //!   the O(1) cycle query used in §4.3 of the paper;
@@ -45,15 +46,14 @@ pub mod bitset;
 pub mod closure;
 pub mod dense;
 pub mod digraph;
-pub mod dot;
 pub mod linext;
 pub mod longest_path;
 pub mod topo;
 
 pub use apsp::MaxPlusClosure;
-pub use bitset::{BitMatrix, BitRow, FixedBitSet};
+pub use bitset::{BitMatrix, BitRow};
 pub use closure::TransitiveClosure;
-pub use dense::{DenseDag, IncrementalLongestPath, RepairGraph, RepairStats};
+pub use dense::{DenseDag, IncrementalLongestPath, RepairGraph};
 pub use digraph::{Digraph, EdgeRef, NodeId};
 pub use linext::{binomial, count_linear_extensions, parallel_chain_orders};
 pub use longest_path::{dag_longest_path, LongestPath};

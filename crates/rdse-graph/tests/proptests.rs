@@ -246,51 +246,29 @@ proptest! {
     #[test]
     fn bounded_repair_equals_full_recompute(
         input in arb_dense_edges(18, 0.3),
-        threshold in 0usize..=18, // spans both boundaries: always-fall-back and never-fall-back
         deltas in arb_delta_walk()
     ) {
         let (n, edges) = input;
         let node_w: Vec<f64> = (0..n).map(|i| (i % 5) as f64 + 0.5).collect();
         let mut g = DenseDag::from_edges(n, &edges, &node_w).unwrap();
         let mut lp = IncrementalLongestPath::new(n);
-        lp.set_threshold(threshold);
         lp.full(&g).unwrap();
-        // Change-driven sibling: weight-only deltas keep the DenseDag
-        // acyclic, so `repair_dirty` must land on the same fixpoint.
-        let mut lpd = IncrementalLongestPath::new(n);
-        lpd.set_threshold(threshold);
-        lpd.full(&g).unwrap();
+        // Weight-only deltas keep the edge structure, so the recorded
+        // order stays certified and the suffix sweep must land on the
+        // same fixpoint as a fresh full pass.
         for (on_node, idx, w) in deltas {
-            let mut seeds = Vec::new();
-            if on_node || g.n_edges() == 0 {
-                let v = (idx % n) as u32;
-                g.set_node_weight(v, w);
-                seeds.push(v);
-            } else {
-                let eid = (idx % g.n_edges()) as u32;
-                g.set_edge_weight(eid, w);
-                seeds.push(g.edge_endpoints(eid).1);
-            }
-            lp.repair(&g, &seeds).unwrap();
-            lpd.repair_dirty(&g, &seeds).unwrap();
+            let seed = weight_delta(&mut g, on_node, idx, w);
+            lp.sweep_certified(&g, lp.order_pos(seed) as usize);
             let mut fresh = IncrementalLongestPath::new(n);
             fresh.full(&g).unwrap();
-            let got: Vec<u64> = lp.labels().iter().map(|c| c.to_bits()).collect();
-            let got_dirty: Vec<u64> = lpd.labels().iter().map(|c| c.to_bits()).collect();
-            let want: Vec<u64> = fresh.labels().iter().map(|c| c.to_bits()).collect();
-            prop_assert_eq!(got, want.clone());
-            prop_assert_eq!(got_dirty, want);
+            prop_assert_eq!(label_bits(&lp), label_bits(&fresh));
             prop_assert_eq!(lp.makespan().to_bits(), fresh.makespan().to_bits());
-            prop_assert_eq!(lpd.makespan().to_bits(), fresh.makespan().to_bits());
-            prop_assert_eq!(lp.critical_path(), fresh.critical_path());
-            prop_assert_eq!(lpd.critical_path(), fresh.critical_path());
         }
     }
 
     #[test]
     fn repair_rollback_restores_labels(
         input in arb_dense_edges(16, 0.3),
-        threshold in 0usize..=16,
         delta in arb_delta_walk()
     ) {
         let (n, edges) = input;
@@ -298,23 +276,81 @@ proptest! {
         let node_w: Vec<f64> = (0..n).map(|i| (i % 4) as f64 + 1.0).collect();
         let mut g = DenseDag::from_edges(n, &edges, &node_w).unwrap();
         let mut lp = IncrementalLongestPath::new(n);
-        lp.set_threshold(threshold);
         lp.full(&g).unwrap();
-        let before: Vec<u64> = lp.labels().iter().map(|c| c.to_bits()).collect();
-        let before_path = lp.critical_path();
-        let seed = if on_node || g.n_edges() == 0 {
-            let v = (idx % n) as u32;
-            g.set_node_weight(v, w);
-            v
-        } else {
-            let eid = (idx % g.n_edges()) as u32;
-            g.set_edge_weight(eid, w);
-            g.edge_endpoints(eid).1
-        };
-        lp.repair(&g, &[seed]).unwrap();
+        let before = label_bits(&lp);
+        let seed = weight_delta(&mut g, on_node, idx, w);
+        lp.sweep_certified(&g, lp.order_pos(seed) as usize);
         lp.rollback();
-        let after: Vec<u64> = lp.labels().iter().map(|c| c.to_bits()).collect();
-        prop_assert_eq!(before, after);
-        prop_assert_eq!(before_path, lp.critical_path());
+        prop_assert_eq!(before, label_bits(&lp));
     }
+
+    #[test]
+    fn reposition_keeps_the_order_topological_or_leaves_it(
+        input in arb_dense_edges(16, 0.3),
+        pick in 0usize..1 << 20,
+        rewired in proptest::collection::vec((any::<bool>(), 0usize..1 << 20, 0.0f64..100.0), 0..6)
+    ) {
+        let (n, edges) = input;
+        let node_w: Vec<f64> = (0..n).map(|i| (i % 3) as f64 + 0.5).collect();
+        let g1 = DenseDag::from_edges(n, &edges, &node_w).unwrap();
+        // G2: node `v` loses every edge and gains random new ones (in
+        // either direction, possibly closing a cycle); all other edges
+        // stay as they were.
+        let v = (pick % n) as u32;
+        let mut edges2: Vec<(u32, u32, f64)> =
+            edges.iter().copied().filter(|&(a, b, _)| a != v && b != v).collect();
+        for (incoming, sel, w) in rewired {
+            let mut other = (sel % (n - 1)) as u32;
+            if other >= v {
+                other += 1;
+            }
+            edges2.push(if incoming { (other, v, w) } else { (v, other, w) });
+        }
+        let g2 = DenseDag::from_edges(n, &edges2, &node_w).unwrap();
+
+        let mut lp = IncrementalLongestPath::new(n);
+        lp.full(&g1).unwrap();
+        let order_before: Vec<u32> = (0..n as u32).map(|u| lp.order_pos(u)).collect();
+        match lp.reposition(&g2, v) {
+            Some(_) => {
+                for &(a, b, _) in &edges2 {
+                    prop_assert!(lp.order_pos(a) < lp.order_pos(b), "edge {}->{} out of order", a, b);
+                }
+                // Relabel from the first node whose in-edges changed:
+                // `v` itself and the heads of its old and new out-edges.
+                let start = edges
+                    .iter()
+                    .chain(&edges2)
+                    .filter(|&&(a, _, _)| a == v)
+                    .map(|&(_, b, _)| lp.order_pos(b))
+                    .fold(lp.order_pos(v), u32::min);
+                lp.sweep_certified(&g2, start as usize);
+                let mut fresh = IncrementalLongestPath::new(n);
+                fresh.full(&g2).unwrap();
+                prop_assert_eq!(label_bits(&lp), label_bits(&fresh));
+            }
+            None => {
+                let order_after: Vec<u32> = (0..n as u32).map(|u| lp.order_pos(u)).collect();
+                prop_assert_eq!(order_before, order_after);
+            }
+        }
+    }
+}
+
+/// Applies one weight delta to `g` and returns the node whose label
+/// inputs it changed (the node itself, or the edge's head).
+fn weight_delta(g: &mut DenseDag, on_node: bool, idx: usize, w: f64) -> u32 {
+    if on_node || g.n_edges() == 0 {
+        let v = (idx % g.n_nodes()) as u32;
+        g.set_node_weight(v, w);
+        v
+    } else {
+        let eid = (idx % g.n_edges()) as u32;
+        g.set_edge_weight(eid, w);
+        g.edge_endpoints(eid).1
+    }
+}
+
+fn label_bits(lp: &IncrementalLongestPath) -> Vec<u64> {
+    lp.labels().iter().map(|c| c.to_bits()).collect()
 }

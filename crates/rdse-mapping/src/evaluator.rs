@@ -27,11 +27,11 @@
 //!   ([`IncrementalLongestPath::order_pos`]), the evaluator locally
 //!   [`reposition`](IncrementalLongestPath::reposition)s every node
 //!   whose own edge set changed and verifies the order still covers
-//!   their edges, then a single check-free relaxation pass over the
-//!   order suffix from the first seed relabels the cone
+//!   their edges, then a single check-free relaxation pass relabels
+//!   the order suffix from the first seed
 //!   ([`IncrementalLongestPath::sweep_certified`]). When the order
-//!   cannot absorb the move the engine falls back to a full Kahn pass
-//!   ([`IncrementalLongestPath::full_fallback`]) — still journaled, so
+//!   cannot absorb the move the evaluator falls back to a full Kahn pass
+//!   ([`IncrementalLongestPath::full`]) — still journaled, so
 //!   rejection stays a cheap rollback.
 //!
 //! # Determinism contract
@@ -43,9 +43,9 @@
 //! * every completion label is `w(v) + max(0, max over in-edges
 //!   (completion(u) + w(u,v)))` — a max over a finite candidate set,
 //!   and IEEE-754 `max` is order-independent in value, so the labels
-//!   have a unique fixpoint on a DAG and *no relaxation order* (cone
-//!   sweep, certified suffix sweep, or full Kahn pass) can change
-//!   label bits;
+//!   have a unique fixpoint on a DAG and *no relaxation order*
+//!   (certified suffix sweep or full Kahn pass) can change label
+//!   bits;
 //! * a sweep relabels a superset of the nodes whose candidate sets
 //!   changed (every directly changed node is seeded, the suffix from
 //!   the minimum seed position covers all their descendants in a valid
@@ -103,7 +103,7 @@ fn log_set_u32(log: &mut Vec<(u32, u32)>, arr: &mut [u32], i: u32, v: u32) -> bo
 
 /// Counters describing an [`Evaluator`]'s arena and repair behaviour,
 /// used by the CLI's `--profile` report to confirm steady-state
-/// evaluations are allocation-free and to size the repair cones.
+/// evaluations are allocation-free and to size the swept suffixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvaluatorStats {
     /// Evaluations performed (full and delta alike).
@@ -115,18 +115,19 @@ pub struct EvaluatorStats {
     /// none ever did). Once `evaluations` is well past this, every
     /// subsequent step runs entirely in the warm arenas.
     pub last_growth_eval: u64,
-    /// Bounded repairs that completed without falling back.
+    /// Deltas relabeled by a certified suffix sweep.
     pub repairs: u64,
-    /// Full longest-path passes (initial synchronizations and repair
-    /// fall-backs).
+    /// Full longest-path passes: every full
+    /// [`evaluate`](Evaluator::evaluate) plus every fall-back.
     pub full_passes: u64,
-    /// Repairs that exceeded the cone threshold and fell back to a
-    /// full pass.
+    /// Deltas whose recorded topological order could not be certified
+    /// and were relabeled by a full pass instead. This includes every
+    /// cyclic move, since no order serializes a cycle.
     pub fallbacks: u64,
-    /// Largest repair cone seen, in nodes.
+    /// Largest swept suffix seen, in nodes.
     pub max_cone: u64,
-    /// Total nodes relabeled across all completed repairs (for the
-    /// mean cone size).
+    /// Total nodes swept across all certified sweeps (for the mean
+    /// swept-suffix size).
     pub cone_nodes: u64,
 }
 
@@ -137,7 +138,7 @@ impl EvaluatorStats {
         self.evaluations > self.last_growth_eval
     }
 
-    /// Mean repair-cone size over completed repairs (0.0 if none ran).
+    /// Mean swept-suffix size over certified sweeps (0.0 if none ran).
     pub fn mean_cone(&self) -> f64 {
         if self.repairs == 0 {
             0.0
@@ -481,15 +482,7 @@ impl EvaluatorArenas {
     /// Lifetime evaluation counters carried inside the arenas (they
     /// survive [`Evaluator::into_arenas`] round trips).
     pub fn stats(&self) -> EvaluatorStats {
-        let r = self.lp.stats();
-        EvaluatorStats {
-            repairs: r.repairs,
-            full_passes: r.full_passes,
-            fallbacks: r.fallbacks,
-            max_cone: r.max_cone,
-            cone_nodes: r.cone_nodes,
-            ..self.stats
-        }
+        self.stats
     }
 }
 
@@ -522,16 +515,7 @@ impl<'a> Evaluator<'a> {
             drlcs: Vec::with_capacity(arch.drlcs().len()),
             membership: vec![0; n],
             generation: 0,
-            lp: {
-                // Disable the relaxation cap by default: the ordered
-                // sweep relaxes each node at most once per delta and
-                // detects cycles through its order checks, so there is
-                // no runaway to bound. A caller can still lower it via
-                // `set_repair_threshold` to force full-pass fall-backs.
-                let mut lp = IncrementalLongestPath::new(n + 1);
-                lp.set_threshold(n + 2);
-                lp
-            },
+            lp: IncrementalLongestPath::new(n + 1),
             seeds: Vec::with_capacity(16),
             struct_seeds: Vec::with_capacity(16),
             eid_scratch: Vec::with_capacity(8),
@@ -571,14 +555,13 @@ impl<'a> Evaluator<'a> {
             drlcs,
             membership,
             generation,
-            mut lp,
+            lp,
             mut seeds,
             mut struct_seeds,
             mut eid_scratch,
             log,
             stats,
         } = arenas;
-        lp.set_threshold(n + 2);
         seeds.clear();
         struct_seeds.clear();
         eid_scratch.clear();
@@ -705,15 +688,7 @@ impl<'a> Evaluator<'a> {
 
     /// Arena and repair counters (see [`EvaluatorStats`]).
     pub fn stats(&self) -> EvaluatorStats {
-        let r = self.lp.stats();
-        EvaluatorStats {
-            repairs: r.repairs,
-            full_passes: r.full_passes,
-            fallbacks: r.fallbacks,
-            max_cone: r.max_cone,
-            cone_nodes: r.cone_nodes,
-            ..self.stats
-        }
+        self.stats
     }
 
     /// `true` once the mirrors reflect a mapping (after a successful
@@ -721,21 +696,6 @@ impl<'a> Evaluator<'a> {
     /// [`evaluate_delta`](Evaluator::evaluate_delta)'s fast path.
     pub fn is_synced(&self) -> bool {
         self.synced
-    }
-
-    /// Sets the repair budget — relaxations the ordered sweep may spend
-    /// on a delta before falling back to a full longest-path pass. The
-    /// default (`node count + 2`) never trips, since the sweep relaxes
-    /// each node at most once; lower values trade repair work for
-    /// full-pass predictability and are mainly useful for testing the
-    /// fall-back path.
-    pub fn set_repair_threshold(&mut self, threshold: usize) {
-        self.lp.set_threshold(threshold);
-    }
-
-    /// The current repair fall-back threshold.
-    pub fn repair_threshold(&self) -> usize {
-        self.lp.threshold()
     }
 
     /// Scores `mapping` from scratch and synchronizes every mirror
@@ -860,6 +820,7 @@ impl<'a> Evaluator<'a> {
             };
             self.lp.full(&overlay)
         };
+        self.stats.full_passes += 1;
         if full.is_err() {
             return Err(MappingError::CyclicSchedule);
         }
@@ -876,7 +837,7 @@ impl<'a> Evaluator<'a> {
 
     /// Scores the mapping that results from applying one move (of task
     /// `moved`) to the last-synchronized state, in time proportional to
-    /// the move's repair cone rather than the graph size.
+    /// the swept order suffix rather than the graph size.
     ///
     /// `mapping` must be the *post-move* state and must differ from the
     /// synchronized state only by a single-task relocation or
@@ -1354,9 +1315,15 @@ impl<'a> Evaluator<'a> {
                     start = start.min(self.lp.order_pos(v) as usize);
                 }
                 self.lp.sweep_certified(&overlay, start);
+                let swept = (self.n + 1 - start.min(self.n + 1)) as u64;
+                self.stats.repairs += 1;
+                self.stats.max_cone = self.stats.max_cone.max(swept);
+                self.stats.cone_nodes += swept;
                 Ok(())
             } else {
-                self.lp.full_fallback(&overlay)
+                self.stats.fallbacks += 1;
+                self.stats.full_passes += 1;
+                self.lp.full(&overlay)
             }
         };
         if repaired.is_err() {
@@ -1599,20 +1566,12 @@ mod tests {
 
     /// Drives the delta path with the real move proposals and checks
     /// every answer (and every revert) against the from-scratch
-    /// reference, bit for bit.
-    fn delta_walk(
-        app: &TaskGraph,
-        arch: &Architecture,
-        seed: u64,
-        steps: usize,
-        threshold: Option<usize>,
-    ) {
+    /// reference, bit for bit. Returns how many *feasible* moves went
+    /// through the full-pass fall-back.
+    fn delta_walk(app: &TaskGraph, arch: &Architecture, seed: u64, steps: usize) -> usize {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut mapping = random_initial(app, arch, &mut rng);
         let mut evaluator = Evaluator::new(app, arch);
-        if let Some(t) = threshold {
-            evaluator.set_repair_threshold(t);
-        }
         // Feasible start (random_initial is all-feasible by design,
         // but keep the walk robust).
         if evaluator.evaluate(&mapping).is_err() {
@@ -1621,6 +1580,7 @@ mod tests {
         }
         let mut scratch = MoveScratch::default();
         let mut applied = 0usize;
+        let mut feasible_fallbacks = 0usize;
         for step in 0..steps {
             let outcome = if step % 3 == 0 {
                 propose_impl_move(app, arch, &mut mapping, &mut rng, &mut scratch)
@@ -1629,6 +1589,7 @@ mod tests {
             };
             let Some(outcome) = outcome else { continue };
             applied += 1;
+            let fallbacks_before = evaluator.stats().fallbacks;
             let delta = evaluator.evaluate_delta(&mapping, outcome.delta.task());
             let reference = evaluate(app, arch, &mapping);
             match (&delta, &reference) {
@@ -1645,6 +1606,9 @@ mod tests {
             }
             match delta {
                 Ok(_) => {
+                    if evaluator.stats().fallbacks > fallbacks_before {
+                        feasible_fallbacks += 1;
+                    }
                     // Coin-flip rejection, like the annealer.
                     if rng.random::<bool>() {
                         evaluator.revert_delta();
@@ -1661,13 +1625,14 @@ mod tests {
         // The mirrors must still be exact: one more fresh comparison.
         let summary = evaluator.evaluate(&mapping).unwrap();
         assert_eq!(summary, evaluate(app, arch, &mapping).unwrap().summary());
+        feasible_fallbacks
     }
 
     #[test]
     fn delta_walk_matches_reference() {
         let (app, arch) = fixture();
         for seed in [1, 17, 42] {
-            delta_walk(&app, &arch, seed, 400, None);
+            delta_walk(&app, &arch, seed, 400);
         }
     }
 
@@ -1676,59 +1641,29 @@ mod tests {
         let app = rdse_workloads::motion_detection_app();
         let arch = rdse_workloads::epicure_architecture(2000);
         for seed in [1, 17] {
-            delta_walk(&app, &arch, seed, 300, None);
+            delta_walk(&app, &arch, seed, 300);
         }
     }
 
     #[test]
-    fn delta_walk_matches_reference_at_threshold_extremes() {
-        let (app, arch) = fixture();
-        // Threshold 0: every repair falls back to a full pass.
-        delta_walk(&app, &arch, 7, 200, Some(0));
-        // Threshold n+1: no repair ever falls back.
-        delta_walk(&app, &arch, 7, 200, Some(app.n_tasks() + 1));
-    }
-
-    #[test]
-    fn delta_stats_count_repairs_and_fallbacks() {
-        let (app, arch) = fixture();
-        let mut rng = StdRng::seed_from_u64(11);
-        let mapping = random_initial(&app, &arch, &mut rng);
-        let mut evaluator = Evaluator::new(&app, &arch);
-        evaluator.evaluate(&mapping).unwrap();
-        let mut m = mapping.clone();
-        let mut scratch = MoveScratch::default();
-        for _ in 0..50 {
-            if let Some(outcome) = propose_pair_move(&app, &arch, &mut m, &mut rng, &mut scratch) {
-                match evaluator.evaluate_delta(&m, outcome.delta.task()) {
-                    Ok(_) => {}
-                    Err(_) => outcome.delta.undo(&mut m),
-                }
-            }
-        }
-        let stats = evaluator.stats();
-        assert!(stats.repairs > 0, "{stats:?}");
-        assert!(stats.full_passes >= 1, "{stats:?}"); // the initial sync
-        assert!(stats.max_cone as usize <= app.n_tasks() + 1, "{stats:?}");
-        // Force fall-backs and confirm they are counted.
-        evaluator.set_repair_threshold(0);
-        evaluator.evaluate(&m).unwrap();
-        let before = evaluator.stats().fallbacks;
-        let mut forced = 0;
-        for _ in 0..20 {
-            if let Some(outcome) = propose_pair_move(&app, &arch, &mut m, &mut rng, &mut scratch) {
-                match evaluator.evaluate_delta(&m, outcome.delta.task()) {
-                    Ok(_) => forced += 1,
-                    Err(_) => outcome.delta.undo(&mut m),
-                }
-            }
-        }
-        if forced > 0 {
-            assert!(
-                evaluator.stats().fallbacks > before,
-                "{:?}",
-                evaluator.stats()
-            );
-        }
+    fn delta_walk_covers_feasible_fallbacks_on_layered200() {
+        // A 200-task layered DAG: most deltas take the certified sweep,
+        // and a few feasible ones cannot be certified and fall back to
+        // the full pass. Both paths must match the reference.
+        let app = rdse_workloads::layered_dag(
+            &rdse_workloads::LayeredDagConfig {
+                layers: 20,
+                width: 10,
+                edge_percent: 30,
+                hw_percent: 60,
+            },
+            42,
+        );
+        let arch = rdse_workloads::epicure_architecture(4000);
+        let feasible_fallbacks = delta_walk(&app, &arch, 9, 1500);
+        assert!(
+            feasible_fallbacks > 0,
+            "no feasible move exercised the full-pass fall-back"
+        );
     }
 }

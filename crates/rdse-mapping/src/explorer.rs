@@ -445,7 +445,7 @@ impl Problem for MappingProblem<'_> {
                 &mut self.scratch,
             ),
         }?;
-        // Delta evaluation: only the move's repair cone is relabeled,
+        // Delta evaluation: only the swept order suffix is relabeled,
         // bit-identical to a full re-evaluation. The evaluator keeps
         // the pre-move state recoverable until the annealer decides.
         match self
